@@ -1,0 +1,114 @@
+package simsmt
+
+import (
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"microbandit/internal/smtwork"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current pipeline")
+
+// goldenCycles and goldenEpoch shape every golden run: long enough for
+// Hill Climbing, ARPA and the bandit to take many decisions, short
+// enough to stay cheap under -race.
+const (
+	goldenCycles = 200_000
+	goldenEpoch  = 4 * 1024
+)
+
+// goldenLine renders one run's pinned statistics: the cycle count, each
+// thread's commits and occupancy integral, the exact bits of the summed
+// IPC, and every Fig. 15 rename-accounting field.
+func goldenLine(name string, sim *SMT) string {
+	rs := sim.RenameStats()
+	return fmt.Sprintf("%s cycles=%d t0=%d/%d t1=%d/%d sumipc=%#016x rename=%d,%d,%d,%d,%d,%d,%d",
+		name, sim.Cycle(),
+		sim.Committed(0), sim.OccupancyIntegral(0),
+		sim.Committed(1), sim.OccupancyIntegral(1),
+		math.Float64bits(sim.SumIPC()),
+		rs.StallROB, rs.StallIQ, rs.StallLQ, rs.StallSQ, rs.StallRF, rs.Idle, rs.Running)
+}
+
+// goldenRuns simulates the pinned grid: two tune mixes under Choi with
+// Hill Climbing, two Table 1 arms as fixed policies, the DUCB bandit
+// runner and ARPA, plus one run on a small, non-power-of-two
+// configuration whose dependence window is shorter than many dependence
+// distances, so ring wrap-around is pinned as well.
+func goldenRuns(t *testing.T) []string {
+	t.Helper()
+	mixes := [][2]string{{"gcc", "lbm"}, {"mcf", "xalancbmk"}}
+	var out []string
+	for _, m := range mixes {
+		a, b := mustProfile(t, m[0]), mustProfile(t, m[1])
+		mix := m[0] + "-" + m[1]
+		for _, pol := range []Policy{ChoiPolicy, mustPolicy("IC_0000"), mustPolicy("LSQC_1111")} {
+			sim := NewSim(a, b, 1)
+			r := NewFixedRunner(sim, pol, true)
+			r.EpochLen = goldenEpoch
+			r.RunCycles(goldenCycles)
+			out = append(out, goldenLine(mix+" "+pol.String(), sim))
+		}
+
+		sim := NewSim(a, b, 1)
+		r := NewRunner(sim, NewBanditAgent(1), Table1Arms(), true)
+		r.EpochLen, r.RREpochs, r.MainEpochs = goldenEpoch, 4, 2
+		r.RunCycles(goldenCycles)
+		out = append(out, goldenLine(mix+" DUCB", sim))
+
+		sim = NewSim(a, b, 1)
+		ar := NewARPARunner(sim, ChoiPolicy)
+		ar.EpochLen = goldenEpoch
+		ar.RunCycles(goldenCycles)
+		out = append(out, goldenLine(mix+" ARPA", sim))
+	}
+
+	cfg := DefaultConfig()
+	cfg.ROBSize, cfg.IQSize, cfg.FetchQCap, cfg.DepWindow = 61, 23, 5, 7
+	sim := New(cfg, smtwork.NewGen(mustProfile(t, "mcf"), 3), smtwork.NewGen(mustProfile(t, "lbm"), 4))
+	r := NewFixedRunner(sim, ChoiPolicy, true)
+	r.EpochLen = goldenEpoch
+	r.RunCycles(goldenCycles)
+	out = append(out, goldenLine("mcf-lbm smallcfg", sim))
+	return out
+}
+
+// TestGolden pins the pipeline's simulated behaviour bit for bit. Run
+// with -update only when a change is meant to alter the simulation.
+func TestGolden(t *testing.T) {
+	got := strings.Join(goldenRuns(t), "\n") + "\n"
+	path := filepath.Join("testdata", "golden.txt")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				w := "<missing>"
+				if i < len(wl) {
+					w = wl[i]
+				}
+				t.Errorf("golden line %d:\n got  %s\n want %s", i+1, gl[i], w)
+			}
+		}
+		if len(wl) > len(gl) {
+			t.Errorf("golden has %d lines, got %d", len(wl), len(gl))
+		}
+	}
+}
