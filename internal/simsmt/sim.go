@@ -1,7 +1,6 @@
 package simsmt
 
 import (
-	"container/heap"
 	"fmt"
 
 	"microbandit/internal/smtwork"
@@ -71,13 +70,14 @@ type robEntry struct {
 type thread struct {
 	gen *smtwork.Gen
 
-	fetchQ      []fetchedUop // FIFO (head at index qHead)
-	qHead       int
+	fetchQ      []fetchedUop // ring of FetchQCap entries
+	qHead, qLen int
 	awaitBranch bool  // a fetched mispredict blocks further fetch
 	blockedTill int64 // front-end redirect in progress
 
 	rob      []robEntry // ring
 	robHead  int
+	robTail  int // next free slot: robHead+robCount, wrapped
 	robCount int
 
 	iq, lq, sq int // occupancies
@@ -86,12 +86,11 @@ type thread struct {
 	branches   int // branches in ROB (BrC metric)
 
 	completions []int64 // recent uop completion cycles (dep window ring)
+	compHead    int     // slot of uop seq: seq mod len(completions)
 	seq         int64   // uops renamed so far
 
 	committed int64
 }
-
-func (t *thread) fetchQLen() int { return len(t.fetchQ) - t.qHead }
 
 // release events (IQ frees at issue; SQ frees at drain).
 type release struct {
@@ -100,18 +99,49 @@ type release struct {
 	what   uint8 // 0 = IQ, 1 = SQ
 }
 
+// releaseHeap is a binary min-heap of releases ordered by cycle. Ties
+// need no order: every release due by the current cycle is applied in
+// that cycle, and each one only decrements a counter.
 type releaseHeap []release
 
-func (h releaseHeap) Len() int            { return len(h) }
-func (h releaseHeap) Less(i, j int) bool  { return h[i].cycle < h[j].cycle }
-func (h releaseHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *releaseHeap) Push(x interface{}) { *h = append(*h, x.(release)) }
-func (h *releaseHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *releaseHeap) push(r release) {
+	q := append(*h, r)
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if q[i].cycle <= q[j].cycle {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+// pop removes and returns the earliest release; the heap must be
+// non-empty.
+func (h *releaseHeap) pop() release {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].cycle < q[j].cycle {
+			j = r
+		}
+		if q[i].cycle <= q[j].cycle {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q
+	return top
 }
 
 // SMT is the 2-way SMT pipeline.
@@ -137,11 +167,19 @@ func New(cfg Config, genA, genB *smtwork.Gen) *SMT {
 	if cfg.FetchWidth < 1 || cfg.DecodeWidth < 1 || cfg.CommitWidth < 1 {
 		panic("simsmt: widths must be positive")
 	}
-	s := &SMT{cfg: cfg, policy: ChoiPolicy}
+	if cfg.FetchQCap < 1 || cfg.DepWindow < 1 || cfg.ROBSize < 1 || cfg.IQSize < 1 {
+		panic(fmt.Sprintf("simsmt: FetchQCap, DepWindow, ROBSize and IQSize must be positive (got %d, %d, %d, %d)",
+			cfg.FetchQCap, cfg.DepWindow, cfg.ROBSize, cfg.IQSize))
+	}
+	// Pending releases never exceed the IQ entries plus the SQ entries
+	// held, so the heap never grows past this capacity.
+	s := &SMT{cfg: cfg, policy: ChoiPolicy,
+		releases: make(releaseHeap, 0, cfg.IQSize+max(cfg.SQSize, 0))}
 	s.share = [2]float64{0.5, 0.5}
 	for i, g := range []*smtwork.Gen{genA, genB} {
 		s.threads[i] = &thread{
 			gen:         g,
+			fetchQ:      make([]fetchedUop, cfg.FetchQCap),
 			rob:         make([]robEntry, cfg.ROBSize),
 			completions: make([]int64, cfg.DepWindow),
 		}
@@ -217,7 +255,7 @@ func (s *SMT) stepCycle() {
 	}
 	// Apply scheduled structure releases.
 	for len(s.releases) > 0 && s.releases[0].cycle <= s.cycle {
-		r := heap.Pop(&s.releases).(release)
+		r := s.releases.pop()
 		t := s.threads[r.thread]
 		if r.what == 0 {
 			t.iq--
@@ -235,7 +273,8 @@ func (s *SMT) commit() {
 	budget := s.cfg.CommitWidth
 	first := s.commitRR
 	s.commitRR ^= 1
-	for _, ti := range []int{first, first ^ 1} {
+	for k := 0; k < 2; k++ {
+		ti := first ^ k
 		t := s.threads[ti]
 		for budget > 0 && t.robCount > 0 {
 			e := &t.rob[t.robHead]
@@ -250,7 +289,7 @@ func (s *SMT) commit() {
 				if drain <= s.cycle {
 					t.sq--
 				} else {
-					heap.Push(&s.releases, release{cycle: drain, thread: ti, what: 1})
+					s.releases.push(release{cycle: drain, thread: ti, what: 1})
 				}
 			case smtwork.UopBranch:
 				t.branches--
@@ -293,10 +332,11 @@ func (s *SMT) renameStage() {
 	sawReady := false
 
 	first := int(s.cycle) & 1
-	for _, ti := range []int{first, first ^ 1} {
+	for k := 0; k < 2; k++ {
+		ti := first ^ k
 		t := s.threads[ti]
 		for budget > 0 {
-			if t.fetchQLen() == 0 {
+			if t.qLen == 0 {
 				break
 			}
 			f := &t.fetchQ[t.qHead]
@@ -304,7 +344,7 @@ func (s *SMT) renameStage() {
 				break
 			}
 			sawReady = true
-			if c := s.resourceBlock(t, &f.uop); c != stallNone {
+			if c := s.resourceBlock(t, s.threads[ti^1], &f.uop); c != stallNone {
 				if cause == stallNone {
 					cause = c
 				}
@@ -312,10 +352,10 @@ func (s *SMT) renameStage() {
 			}
 			s.renameUop(ti, t, &f.uop)
 			t.qHead++
-			if t.qHead > 64 && t.qHead*2 >= len(t.fetchQ) {
-				t.fetchQ = append(t.fetchQ[:0], t.fetchQ[t.qHead:]...)
+			if t.qHead == len(t.fetchQ) {
 				t.qHead = 0
 			}
+			t.qLen--
 			budget--
 			renamed++
 		}
@@ -344,45 +384,29 @@ func (s *SMT) renameStage() {
 	}
 }
 
-// resourceBlock reports which shared structure, if any, blocks renaming u.
-// Structures are checked in the order the paper's Fig. 15 lists them.
-func (s *SMT) resourceBlock(t *thread, u *smtwork.Uop) stallCause {
-	other := s.otherOccupancy(t)
-	if t.robCount+other.rob >= s.cfg.ROBSize {
+// resourceBlock reports which shared structure, if any, blocks renaming
+// thread t's uop u, given the sibling thread o. Structures are checked in
+// the order the paper's Fig. 15 lists them.
+func (s *SMT) resourceBlock(t, o *thread, u *smtwork.Uop) stallCause {
+	if t.robCount+o.robCount >= s.cfg.ROBSize {
 		return stallROB
 	}
-	if t.iq+other.iq >= s.cfg.IQSize {
+	if t.iq+o.iq >= s.cfg.IQSize {
 		return stallIQ
 	}
-	if u.Kind == smtwork.UopLoad && t.lq+other.lq >= s.cfg.LQSize {
+	if u.Kind == smtwork.UopLoad && t.lq+o.lq >= s.cfg.LQSize {
 		return stallLQ
 	}
-	if u.Kind == smtwork.UopStore && t.sq+other.sq >= s.cfg.SQSize {
+	if u.Kind == smtwork.UopStore && t.sq+o.sq >= s.cfg.SQSize {
 		return stallSQ
 	}
-	if u.UsesIntReg() && t.intRegs+other.intRegs >= s.cfg.IRFSize {
+	if u.UsesIntReg() && t.intRegs+o.intRegs >= s.cfg.IRFSize {
 		return stallRF
 	}
-	if u.UsesFPReg() && t.fpRegs+other.fpRegs >= s.cfg.FRFSize {
+	if u.UsesFPReg() && t.fpRegs+o.fpRegs >= s.cfg.FRFSize {
 		return stallRF
 	}
 	return stallNone
-}
-
-// occupancy snapshot of the sibling thread.
-type occupancy struct {
-	rob, iq, lq, sq, intRegs, fpRegs int
-}
-
-func (s *SMT) otherOccupancy(t *thread) occupancy {
-	var o *thread
-	if s.threads[0] == t {
-		o = s.threads[1]
-	} else {
-		o = s.threads[0]
-	}
-	return occupancy{rob: o.robCount, iq: o.iq, lq: o.lq, sq: o.sq,
-		intRegs: o.intRegs, fpRegs: o.fpRegs}
 }
 
 // renameUop allocates structures, schedules execution, and handles branch
@@ -391,8 +415,13 @@ func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 	// Dependence: producer completion by program-order distance.
 	start := s.cycle + 1
 	if u.DepDist > 0 && int64(u.DepDist) <= t.seq {
-		pc := t.completions[(t.seq-int64(u.DepDist))%int64(len(t.completions))]
-		if pc > start {
+		// Slot of uop seq-DepDist; DepDist may exceed the window, so
+		// wrap as often as needed.
+		i := t.compHead - u.DepDist
+		for i < 0 {
+			i += len(t.completions)
+		}
+		if pc := t.completions[i]; pc > start {
 			start = pc
 		}
 	}
@@ -400,7 +429,7 @@ func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 
 	// IQ entry held from rename until the uop starts executing.
 	t.iq++
-	heap.Push(&s.releases, release{cycle: start, thread: ti, what: 0})
+	s.releases.push(release{cycle: start, thread: ti, what: 0})
 
 	e := robEntry{complete: complete, kind: u.Kind}
 	switch u.Kind {
@@ -426,9 +455,17 @@ func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 		e.fpReg = true
 	}
 
-	t.rob[(t.robHead+t.robCount)%len(t.rob)] = e
+	t.rob[t.robTail] = e
+	t.robTail++
+	if t.robTail == len(t.rob) {
+		t.robTail = 0
+	}
 	t.robCount++
-	t.completions[t.seq%int64(len(t.completions))] = complete
+	t.completions[t.compHead] = complete
+	t.compHead++
+	if t.compHead == len(t.completions) {
+		t.compHead = 0
+	}
 	t.seq++
 }
 
@@ -440,13 +477,18 @@ func (s *SMT) fetch() {
 	}
 	t := s.threads[ti]
 	for k := 0; k < s.cfg.FetchWidth; k++ {
-		if t.fetchQLen() >= s.cfg.FetchQCap {
+		if t.qLen == len(t.fetchQ) {
 			break
 		}
-		var u smtwork.Uop
-		t.gen.Next(&u)
-		t.fetchQ = append(t.fetchQ, fetchedUop{uop: u, renameReady: s.cycle + s.cfg.FrontLatency})
-		if u.Kind == smtwork.UopBranch && u.Mispredict {
+		tail := t.qHead + t.qLen
+		if tail >= len(t.fetchQ) {
+			tail -= len(t.fetchQ)
+		}
+		slot := &t.fetchQ[tail]
+		t.gen.Next(&slot.uop)
+		slot.renameReady = s.cycle + s.cfg.FrontLatency
+		t.qLen++
+		if slot.uop.Kind == smtwork.UopBranch && slot.uop.Mispredict {
 			// Stop fetching this thread until the branch is renamed and
 			// resolved (wrong-path suppression).
 			t.awaitBranch = true
@@ -492,7 +534,7 @@ func (s *SMT) fetchable(ti int) bool {
 	if t.awaitBranch || t.blockedTill > s.cycle {
 		return false
 	}
-	if t.fetchQLen() >= s.cfg.FetchQCap {
+	if t.qLen == len(t.fetchQ) {
 		return false
 	}
 	return !s.gated(ti)

@@ -1,6 +1,7 @@
 package simsmt
 
 import (
+	"strings"
 	"testing"
 
 	"microbandit/internal/smtwork"
@@ -264,20 +265,86 @@ func TestRunUntilCommitted(t *testing.T) {
 }
 
 func TestNewPanicsOnBadWidths(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(Config{}, nil, nil)
+	bad := map[string]func(*Config){
+		"zero config":     func(c *Config) { *c = Config{} },
+		"FetchWidth":      func(c *Config) { c.FetchWidth = 0 },
+		"DecodeWidth":     func(c *Config) { c.DecodeWidth = 0 },
+		"CommitWidth":     func(c *Config) { c.CommitWidth = -1 },
+		"FetchQCap":       func(c *Config) { c.FetchQCap = 0 },
+		"DepWindow":       func(c *Config) { c.DepWindow = 0 },
+		"ROBSize":         func(c *Config) { c.ROBSize = -4 },
+		"IQSize":          func(c *Config) { c.IQSize = 0 },
+		"negative window": func(c *Config) { c.DepWindow = -1 },
+	}
+	for name, mutate := range bad {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			mutate(&cfg)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "simsmt: ") {
+					t.Fatalf("New(%+v) panicked with %q, want a simsmt: message", cfg, msg)
+				}
+			}()
+			New(cfg, nil, nil)
+		})
+	}
+}
+
+// TestRunCyclesZeroAlloc pins the zero-allocation property of the cycle
+// loop: the release heap, the fetch ring and the ROB and dependence rings
+// are all sized in New.
+func TestRunCyclesZeroAlloc(t *testing.T) {
+	sim := NewSim(mustProfile(t, "gcc"), mustProfile(t, "lbm"), 1)
+	sim.RunCycles(200_000) // warm-up: reach the structures' high-water marks
+	if n := testing.AllocsPerRun(20, func() { sim.RunCycles(4096) }); n != 0 {
+		t.Fatalf("SMT.RunCycles(4096) allocates %.1f times per run, want 0", n)
+	}
+}
+
+// TestRunnerEpochZeroAlloc pins the same property for one bandit-driven
+// epoch: Hill Climbing, the DUCB agent and the per-arm snapshot map add
+// no allocations once every arm has been tried.
+func TestRunnerEpochZeroAlloc(t *testing.T) {
+	sim := NewSim(mustProfile(t, "mcf"), mustProfile(t, "lbm"), 2)
+	r := NewRunner(sim, NewBanditAgent(2), Table1Arms(), true)
+	r.EpochLen, r.RREpochs, r.MainEpochs = 4096, 4, 2
+	r.RunCycles(100 * 4096) // warm-up: past the round-robin phase
+	if n := testing.AllocsPerRun(20, r.runEpoch); n != 0 {
+		t.Fatalf("Runner epoch allocates %.1f times per run, want 0", n)
+	}
 }
 
 func BenchmarkPipelineCycle(b *testing.B) {
 	p1, _ := smtwork.ByName("gcc")
 	p2, _ := smtwork.ByName("lbm")
 	sim := NewSim(p1, p2, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	sim.RunCycles(int64(b.N))
+}
+
+// BenchmarkRunnerSweep is the Fig. 5 / Table 9 job shape in miniature:
+// every Table 1 arm as a fixed policy under Hill Climbing on one mix.
+// One iteration advances each runner by one 4096-cycle epoch.
+func BenchmarkRunnerSweep(b *testing.B) {
+	p1, _ := smtwork.ByName("gcc")
+	p2, _ := smtwork.ByName("lbm")
+	const epoch = 4 * 1024
+	var runners []*Runner
+	for _, arm := range Table1Arms() {
+		r := NewFixedRunner(NewSim(p1, p2, 1), arm, true)
+		r.EpochLen = epoch
+		runners = append(runners, r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range runners {
+			r.RunCycles(epoch)
+		}
+	}
+	b.ReportMetric(float64(b.N*len(runners)*epoch)/b.Elapsed().Seconds(), "cycles/s")
 }
 
 // FuzzParsePolicy: ParsePolicy must never panic and must round-trip with
