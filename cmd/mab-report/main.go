@@ -8,7 +8,6 @@
 //	mab-report -robust -telemetry out.jsonl [-telemetry-every 100]
 //	mab-report -parbench BENCH_parallel.json [-preset quick] [-j n]
 //	mab-report -servebench BENCH_batch.json [-servebench-duration 2s] [-j n]
-//	mab-report -clusterbench BENCH_cluster.json [-clusterbench-duration 2s] [-j n]
 //	mab-report -simbench BENCH_sim.json [-simbench-baseline old.json] [-simbench-insts n]
 //	mab-report -exp fig8 -pprof profdir
 //
@@ -23,10 +22,7 @@
 // exit 2 listing the valid ones. -parbench times the heaviest experiments serial vs
 // parallel and writes the wall-clock comparison as JSON. -servebench
 // measures serving throughput — the scalar step/reward baseline, then a
-// /v1/batch size sweep — and writes BENCH_batch.json. -clusterbench
-// measures an in-process serving ring three ways (per-node direct load,
-// routed load, and routed load across a mid-run node kill) and writes
-// BENCH_cluster.json. -simbench
+// /v1/batch size sweep — and writes BENCH_batch.json. -simbench
 // measures raw single-run simulator throughput (insts/sec per catalog
 // workload) and writes BENCH_sim.json, optionally computing speedups
 // against a previously recorded run.
@@ -52,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"microbandit/internal/cluster"
 	"microbandit/internal/fault"
 	"microbandit/internal/harness"
 	"microbandit/internal/obs"
@@ -79,9 +74,6 @@ func main() {
 	parBench := flag.String("parbench", "", "time Table8 and Fig5 serial vs parallel, write JSON here")
 	serveBench := flag.String("servebench", "", "measure serving throughput (scalar baseline + /v1/batch size sweep), write JSON here")
 	serveBenchDur := flag.Duration("servebench-duration", 2*time.Second, "with -servebench: measured window per configuration")
-	clusterBench := flag.String("clusterbench", "", "measure cluster serving (per-node direct, routed, and routed-across-a-node-kill), write JSON here")
-	clusterBenchDur := flag.Duration("clusterbench-duration", 2*time.Second, "with -clusterbench: measured window per phase")
-	clusterBenchNodes := flag.Int("clusterbench-nodes", 3, "with -clusterbench: ring size")
 	simBench := flag.String("simbench", "", "measure single-run simulator throughput (insts/sec per workload), write JSON here")
 	simBenchBaseline := flag.String("simbench-baseline", "", "with -simbench: previously recorded BENCH_sim.json to compute speedups against")
 	simBenchInsts := flag.Int64("simbench-insts", simbench.DefaultInsts, "with -simbench: instructions per workload")
@@ -187,14 +179,6 @@ func main() {
 
 	if *serveBench != "" {
 		if err := runServeBench(ctx, *serveBench, *workers, *seed, *serveBenchDur); err != nil {
-			fmt.Fprintf(os.Stderr, "mab-report: %v\n", err)
-			exit(1)
-		}
-		exit(0)
-	}
-
-	if *clusterBench != "" {
-		if err := runClusterBench(ctx, *clusterBench, *clusterBenchNodes, *workers, *seed, *clusterBenchDur); err != nil {
 			fmt.Fprintf(os.Stderr, "mab-report: %v\n", err)
 			exit(1)
 		}
@@ -568,32 +552,6 @@ func runServeBench(ctx context.Context, path string, workers int, seed uint64, d
 	}
 	fmt.Printf("servebench: best %.0f decisions/sec at batch=%d (%.1fx over scalar)\n",
 		rep.MaxDecisionsPerSec, rep.BestBatch, rep.SpeedupVsScalar)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// runClusterBench measures an in-process serving ring three ways —
-// per-node direct load, the same load through the router, and routed
-// load across a mid-run node kill — and writes BENCH_cluster.json.
-func runClusterBench(ctx context.Context, path string, nodes, workers int, seed uint64, dur time.Duration) error {
-	fmt.Printf("clusterbench: %d nodes, %d workers, %v per phase...\n", nodes, workers, dur)
-	rep, err := cluster.RunBench(ctx, cluster.BenchConfig{
-		Nodes:    nodes,
-		Workers:  workers,
-		Duration: dur,
-		Seed:     seed,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  direct: %.0f decisions/sec across %d nodes\n", rep.Direct.DecisionsPerSec, rep.Nodes)
-	fmt.Printf("  routed: %.0f decisions/sec (%.2fx direct-to-routed overhead)\n", rep.Routed.DecisionsPerSec, rep.RouterOverhead)
-	fmt.Printf("  failover: killed %s mid-load; recovered in %.1fms, %.0f decisions/sec, %d errors, %d retries, %d resyncs\n",
-		rep.Failover.Victim, rep.Failover.RecoveryMS, rep.Failover.Run.DecisionsPerSec,
-		rep.Failover.Run.Errors, rep.Failover.Run.Retries, rep.Failover.Run.Resyncs)
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

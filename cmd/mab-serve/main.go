@@ -6,14 +6,9 @@
 //	mab-serve serve [-addr :8080] [-shards 64]
 //	                [-checkpoint ckpt.json] [-checkpoint-every 30s]
 //	                [-telemetry out.jsonl] [-telemetry-every 100]
-//	mab-serve node [-addr :8081] [-name node-0] [-replica http://host:port]
-//	               [-replica-name node-1] [-replicate-every 250ms]
-//	               [-checkpoint ckpt.json] [-shards 64]
-//	mab-serve router [-addr :8080] [-nodes name=url,name=url,...]
-//	                 [-probe-every 250ms] [-fail-after 3] [-vnodes 64]
 //	mab-serve loadgen [-workers 8] [-duration 2s] [-arms 8] [-algo ducb]
 //	                  [-batch N] [-warmup 200ms] [-out BENCH_serve.json]
-//	                  [-target http://host:port[,http://host:port...]]
+//	                  [-target http://host:port]
 //	mab-serve -version
 //
 // serve starts the HTTP API. With -checkpoint it restores existing
@@ -22,27 +17,14 @@
 // requests and writes a final checkpoint before exiting, so a restarted
 // server resumes every session's exact decision sequence.
 //
-// node runs one member of a serving ring: the same HTTP API plus the
-// /v1/replica/* receiver endpoints, and — with -replica — a background
-// replicator streaming checkpoint record deltas to its ring successor.
-// On SIGINT/SIGTERM the node drains in two beats: readiness fails first
-// (the router stops placing traffic), then mutating operations bounce
-// with Retry-After while a final replica sync and checkpoint land.
-//
-// router fronts a ring of nodes: a consistent-hash ring places every
-// session, scalar and batch operations forward to their owner, and a
-// node whose probes and requests keep failing is replaced by promoting
-// its ring successor (which holds its replicated checkpoints).
-//
 // loadgen measures an in-process server (no sockets): closed-loop
 // workers each drive a private session flat out — or, with -batch N,
 // N sessions each through one /v1/batch request per round — and the
 // run's throughput and p50/p99/p999 request latencies print as JSON
 // (and land in -out when set). A warmup window (default a tenth of the
 // duration) runs first and is excluded from the measurement. With
-// -target the same workers drive one or more live servers over real
-// sockets instead (round-robin across the URLs), and the result carries
-// a per-target latency breakdown.
+// -target the same workers drive a live server over real sockets
+// instead.
 package main
 
 import (
@@ -58,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"microbandit/internal/cluster"
 	"microbandit/internal/core"
 	"microbandit/internal/obs"
 	"microbandit/internal/serve"
@@ -76,10 +57,6 @@ func main() {
 		fmt.Println("mab-serve", version.String())
 	case "serve":
 		runServe(args[1:])
-	case "node":
-		runNode(args[1:])
-	case "router":
-		runRouter(args[1:])
 	case "loadgen":
 		runLoadgen(args[1:])
 	case "-h", "--help", "help":
@@ -206,176 +183,8 @@ func runServe(args []string) {
 	os.Exit(exit)
 }
 
-// runNode is the cluster-node subcommand: one ring member with the
-// replica receiver mounted and, when -replica is set, a background
-// replicator shipping checkpoint deltas to its successor.
-func runNode(args []string) {
-	fs := flag.NewFlagSet("mab-serve node", flag.ExitOnError)
-	addr := fs.String("addr", ":8081", "listen address")
-	name := fs.String("name", "", "this node's logical name (labels its checkpoint stream; required)")
-	replica := fs.String("replica", "", "ring successor's base URL to stream checkpoints to (empty = no replication)")
-	replicaName := fs.String("replica-name", "", "ring successor's logical name (defaults to the -replica URL)")
-	replicateEvery := fs.Duration("replicate-every", cluster.DefaultReplicateEvery, "replication cadence")
-	ckptPath := fs.String("checkpoint", "", "local checkpoint file: restored on start, written on shutdown")
-	shards := fs.Int("shards", serve.DefaultShards, "session store shards")
-	grace := fs.Duration("drain-grace", 2*time.Second, "pause between failing readiness and refusing operations on shutdown")
-	fs.Parse(args)
-	if *name == "" {
-		usageErr(errors.New("node: -name is required (ring placement depends on it)"))
-	}
-	if *shards <= 0 {
-		usageErr(fmt.Errorf("-shards must be positive, got %d", *shards))
-	}
-
-	store := serve.NewStore(*shards)
-	if *ckptPath != "" {
-		restored, err := serve.LoadCheckpoint(*ckptPath, *shards)
-		switch {
-		case err == nil:
-			store = restored
-			fmt.Fprintf(os.Stderr, "mab-serve: node %s restored %d sessions from %s\n", *name, store.Len(), *ckptPath)
-		case errors.Is(err, os.ErrNotExist):
-			fmt.Fprintf(os.Stderr, "mab-serve: node %s: no checkpoint at %s; starting empty\n", *name, *ckptPath)
-		default:
-			fmt.Fprintf(os.Stderr, "mab-serve: node %s: %v\n", *name, err)
-			os.Exit(1)
-		}
-	}
-
-	cfg := cluster.NodeConfig{
-		Name:           *name,
-		Server:         serve.Config{Store: store, Version: version.String(), CheckpointPath: *ckptPath},
-		ReplicateEvery: *replicateEvery,
-	}
-	if *replica != "" {
-		rname := *replicaName
-		if rname == "" {
-			rname = *replica
-		}
-		cfg.Replica = cluster.Endpoint{
-			Name:   rname,
-			Base:   strings.TrimRight(*replica, "/"),
-			Client: &http.Client{Timeout: 10 * time.Second},
-		}
-	}
-	node := cluster.NewNode(cfg)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	replDone := make(chan struct{})
-	go func() { defer close(replDone); node.Run(ctx) }()
-
-	httpSrv := &http.Server{Addr: *addr, Handler: node}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "mab-serve: node %s (%s) listening on %s\n", *name, version.String(), *addr)
-
-	exit := 0
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "mab-serve: node %s: %v\n", *name, err)
-		exit = 1
-	case <-ctx.Done():
-		// Two-beat drain: fail readiness first so the router stops
-		// placing traffic, then refuse mutating operations with
-		// Retry-After while the final sync and checkpoint land.
-		fmt.Fprintf(os.Stderr, "mab-serve: node %s: signal received; draining\n", *name)
-		node.Server().SetState(serve.StateNotReady)
-		time.Sleep(*grace)
-		node.Server().SetState(serve.StateDraining)
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := httpSrv.Shutdown(shutCtx)
-		cancel()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mab-serve: node %s: drain: %v\n", *name, err)
-			exit = 1
-		}
-		if r := node.Replicator(); r != nil {
-			syncCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			if err := r.Sync(syncCtx); err != nil {
-				fmt.Fprintf(os.Stderr, "mab-serve: node %s: final replica sync: %v\n", *name, err)
-				exit = 1
-			}
-			cancel()
-		}
-	}
-	stop()
-	<-replDone
-	if *ckptPath != "" {
-		if err := store.WriteCheckpoint(*ckptPath); err != nil {
-			fmt.Fprintf(os.Stderr, "mab-serve: node %s: final checkpoint: %v\n", *name, err)
-			exit = 1
-		}
-	}
-	os.Exit(exit)
-}
-
-// runRouter is the cluster-router subcommand.
-func runRouter(args []string) {
-	fs := flag.NewFlagSet("mab-serve router", flag.ExitOnError)
-	addr := fs.String("addr", ":8080", "listen address")
-	nodeList := fs.String("nodes", "", "comma-separated ring membership, in replication order: name=url[,name=url...] (required)")
-	probeEvery := fs.Duration("probe-every", 250*time.Millisecond, "readiness probe cadence")
-	failAfter := fs.Int("fail-after", 3, "consecutive failure signals before promoting a node's replica")
-	vnodes := fs.Int("vnodes", cluster.DefaultVNodes, "virtual ring points per node")
-	fs.Parse(args)
-	if *nodeList == "" {
-		usageErr(errors.New("router: -nodes is required"))
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	var rns []cluster.RouterNode
-	for _, entry := range strings.Split(*nodeList, ",") {
-		name, url, ok := strings.Cut(entry, "=")
-		if !ok {
-			name, url = entry, entry
-		}
-		if name == "" || url == "" {
-			usageErr(fmt.Errorf("router: bad -nodes entry %q (want name=url)", entry))
-		}
-		rns = append(rns, cluster.RouterNode{Name: name, Endpoint: cluster.Endpoint{
-			Name:   name,
-			Base:   strings.TrimRight(url, "/"),
-			Client: client,
-		}})
-	}
-	rt := cluster.NewRouter(cluster.RouterConfig{
-		Nodes:      rns,
-		VNodes:     *vnodes,
-		ProbeEvery: *probeEvery,
-		FailAfter:  *failAfter,
-	})
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	probeDone := make(chan struct{})
-	go func() { defer close(probeDone); rt.Run(ctx) }()
-
-	httpSrv := &http.Server{Addr: *addr, Handler: rt}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "mab-serve: router (%s) fronting %d nodes on %s\n", version.String(), len(rns), *addr)
-
-	exit := 0
-	select {
-	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "mab-serve: router: %v\n", err)
-		exit = 1
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		err := httpSrv.Shutdown(shutCtx)
-		cancel()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mab-serve: router: drain: %v\n", err)
-			exit = 1
-		}
-	}
-	stop()
-	<-probeDone
-	os.Exit(exit)
-}
-
 // runLoadgen is the load generator subcommand, measuring an in-process
-// server instance.
+// server instance, or a live server with -target.
 func runLoadgen(args []string) {
 	fs := flag.NewFlagSet("mab-serve loadgen", flag.ExitOnError)
 	workers := fs.Int("workers", 8, "closed-loop workers (one session each)")
@@ -387,7 +196,7 @@ func runLoadgen(args []string) {
 	seed := fs.Uint64("seed", 1, "base seed (diversified per worker)")
 	shards := fs.Int("shards", serve.DefaultShards, "session store shards")
 	out := fs.String("out", "", "also write the result JSON to this file")
-	target := fs.String("target", "", "comma-separated base URLs of live servers to drive over sockets (empty = in-process)")
+	target := fs.String("target", "", "base URL of a live server to drive over sockets (empty = in-process)")
 	fs.Parse(args)
 	if *workers <= 0 {
 		usageErr(fmt.Errorf("-workers must be positive, got %d", *workers))
@@ -395,12 +204,12 @@ func runLoadgen(args []string) {
 	if *duration <= 0 {
 		usageErr(fmt.Errorf("-duration must be positive, got %v", *duration))
 	}
-	// Validate -target before any work starts: a trailing comma or doubled
-	// separator should fail the invocation, not silently drop a target.
-	var targets []string
+	// Validate -target before any work starts: a blank or multi-URL value
+	// should fail the invocation, not drive an empty URL.
+	var base string
 	if *target != "" {
 		var err error
-		if targets, err = parseTargets(*target); err != nil {
+		if base, err = parseTarget(*target); err != nil {
 			usageErr(err)
 		}
 	}
@@ -417,10 +226,8 @@ func runLoadgen(args []string) {
 		Warmup:   *warmup,
 		Spec:     serve.Spec{Algo: *algo, Arms: *arms, Seed: *seed},
 	}
-	if len(targets) > 0 {
-		for _, base := range targets {
-			opts.Targets = append(opts.Targets, loadgen.NewHTTPTarget(base, base))
-		}
+	if base != "" {
+		opts.Handler = loadgen.NewHTTPTarget(base)
 	} else {
 		opts.Handler = serve.New(serve.Config{Store: serve.NewStore(*shards), Version: version.String()})
 	}
@@ -449,36 +256,24 @@ func usage(w *os.File) {
 
   mab-serve serve [-addr :8080] [-shards N] [-checkpoint ckpt.json]
                   [-checkpoint-every 30s] [-telemetry out.jsonl]
-  mab-serve node [-addr :8081] -name node-0 [-replica http://host:port]
-                 [-replica-name node-1] [-replicate-every 250ms]
-                 [-checkpoint ckpt.json] [-drain-grace 2s]
-  mab-serve router [-addr :8080] -nodes name=url,name=url,...
-                   [-probe-every 250ms] [-fail-after 3] [-vnodes 64]
   mab-serve loadgen [-workers 8] [-duration 2s] [-arms 8] [-algo ducb]
                     [-batch N] [-warmup 200ms] [-out BENCH_serve.json]
-                    [-target http://host:port[,...]]
+                    [-target http://host:port]
   mab-serve -version
 
 Run "mab-serve <subcommand> -h" for flag details.`)
 }
 
-// parseTargets splits and validates the loadgen -target value: a
-// comma-separated list of base URLs. Empty elements — trailing commas,
-// doubled separators, whitespace-only entries — are rejected so a typo
-// fails the run up front instead of dropping a target or producing a
-// worker that hammers an empty URL. Trailing slashes are trimmed so path
-// joining stays uniform.
-func parseTargets(flagVal string) ([]string, error) {
-	parts := strings.Split(flagVal, ",")
-	targets := make([]string, 0, len(parts))
-	for _, base := range parts {
-		base = strings.TrimRight(strings.TrimSpace(base), "/")
-		if base == "" {
-			return nil, fmt.Errorf("-target has an empty URL in %q (want URL[,URL...], e.g. http://host:8081,http://host:8082)", flagVal)
-		}
-		targets = append(targets, base)
+// parseTarget validates the loadgen -target value: one base URL. A
+// blank value, or a comma-separated list, is rejected so a typo fails
+// the run up front instead of producing workers that hammer an empty
+// URL. A trailing slash is trimmed so path joining stays uniform.
+func parseTarget(flagVal string) (string, error) {
+	base := strings.TrimRight(strings.TrimSpace(flagVal), "/")
+	if base == "" || strings.Contains(base, ",") {
+		return "", fmt.Errorf("-target must be one URL, got %q (e.g. http://host:8080)", flagVal)
 	}
-	return targets, nil
+	return base, nil
 }
 
 // usageErr reports a bad invocation and exits 2.

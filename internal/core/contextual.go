@@ -340,16 +340,6 @@ func (c *ContextualAgent) ContextAgent(sig Signature) *Agent {
 	return nil
 }
 
-// Signatures returns the live signatures in LRU order, most recently
-// used first. For tests and report tooling.
-func (c *ContextualAgent) Signatures() []Signature {
-	var out []Signature
-	for e := c.head; e != nil; e = e.next {
-		out = append(out, e.sig)
-	}
-	return out
-}
-
 var (
 	_ Controller    = (*ContextualAgent)(nil)
 	_ ContextSetter = (*ContextualAgent)(nil)

@@ -23,10 +23,9 @@ import (
 // them — so contextual agents and scenario probes compose with
 // selection unchanged.
 type Selector struct {
-	high   *Agent
-	low    []Controller
-	labels []string
-	arms   int
+	high *Agent
+	low  []Controller
+	arms int
 
 	current int  // low-level controller selected for the open step
 	inStep  bool // Step called, Reward pending
@@ -37,14 +36,11 @@ type Selector struct {
 
 // NewSelector builds an agent selector. highCfg configures the
 // high-level bandit (its Arms field is overwritten with len(lows));
-// lows are the candidate controllers, labels their display names, and
-// arms the hardware arm count every low-level controller decides over.
-func NewSelector(highCfg Config, lows []Controller, labels []string, arms int) (*Selector, error) {
+// lows are the candidate controllers and arms the hardware arm count
+// every low-level controller decides over.
+func NewSelector(highCfg Config, lows []Controller, arms int) (*Selector, error) {
 	if len(lows) < 2 {
 		return nil, fmt.Errorf("core: selector needs at least 2 candidate agents, got %d", len(lows))
-	}
-	if len(labels) != len(lows) {
-		return nil, fmt.Errorf("core: selector has %d labels for %d agents", len(labels), len(lows))
 	}
 	if arms < 2 {
 		return nil, fmt.Errorf("core: selector needs at least 2 hardware arms, got %d", arms)
@@ -54,7 +50,7 @@ func NewSelector(highCfg Config, lows []Controller, labels []string, arms int) (
 	if err != nil {
 		return nil, fmt.Errorf("core: selector high level: %w", err)
 	}
-	return &Selector{high: high, low: lows, labels: labels, arms: arms}, nil
+	return &Selector{high: high, low: lows, arms: arms}, nil
 }
 
 // Arms returns the hardware-visible arm count.
@@ -62,9 +58,6 @@ func (s *Selector) Arms() int { return s.arms }
 
 // Levels returns the number of candidate agents.
 func (s *Selector) Levels() int { return len(s.low) }
-
-// Labels returns the candidate agents' display names.
-func (s *Selector) Labels() []string { return s.labels }
 
 // CurrentLevel returns the candidate index steering the open (or most
 // recent) step.

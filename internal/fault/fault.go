@@ -55,23 +55,11 @@ const (
 	// Intensity — not a microarchitectural fault but a harness one,
 	// used to exercise the experiment engine's graceful degradation.
 	Panic Kind = "panic"
-	// Partition severs a serving node's transport in bursts: each
-	// 64-request window is partitioned with probability Intensity, and
-	// every request inside a partitioned window is answered with a bare
-	// 503 (the closest an http.Handler can come to a cut cable). The
-	// cluster router sees exactly what a flaky network gives it:
-	// stretches of dead air that must trigger retry, then failover.
-	Partition Kind = "partition"
-	// SlowNode stretches a serving node's response time: each request is
-	// delayed by an exponentially distributed latency with mean
-	// Intensity·2ms (capped at 20ms), modeling a node losing the CPU to
-	// a noisy neighbor without ever failing outright.
-	SlowNode Kind = "slownode"
 )
 
 // Kinds lists every fault kind in canonical order.
 func Kinds() []Kind {
-	return []Kind{Noise, Quantize, Delay, StuckArm, BWCollapse, PhaseStorm, Panic, Partition, SlowNode}
+	return []Kind{Noise, Quantize, Delay, StuckArm, BWCollapse, PhaseStorm, Panic}
 }
 
 // KindNames lists every fault kind as strings (CLI usage messages).

@@ -34,7 +34,7 @@ func TestParseSpec(t *testing.T) {
 func TestParseSpecErrors(t *testing.T) {
 	for _, in := range []string{
 		"", "noise", "noise:", "noise:x", "noise:2", "noise:-0.1",
-		"noise:NaN", "noise:0.5:x", "noise:0.5:1:2", "martian:0.5",
+		"noise:NaN", "noise:0.5:x", "noise:0.5:1:2", "martian:0.5", "partition:0.5",
 	} {
 		if _, err := ParseSpec(in); err == nil {
 			t.Errorf("ParseSpec(%q): expected error", in)

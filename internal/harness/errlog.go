@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"microbandit/internal/par"
-	"microbandit/internal/stats"
 )
 
 // ErrorLog collects per-job failures from the experiment engine so
@@ -80,18 +79,6 @@ func RenderFailures(fails []JobFailure) string {
 			msg = fmt.Sprintf("%q", msg)
 		}
 		fmt.Fprintf(&b, "  %s\n", msg)
-	}
-	return b.String()
-}
-
-// FailuresCSV renders the drained failure list as CSV (job,error), with
-// every cell routed through the shared quoting helper so commas and
-// newlines in panic messages stay inside their cell.
-func FailuresCSV(fails []JobFailure) string {
-	var b strings.Builder
-	stats.WriteCSVRow(&b, "job", "error")
-	for _, f := range fails {
-		stats.WriteCSVRow(&b, fmt.Sprintf("%d", f.Job), f.Err.Error())
 	}
 	return b.String()
 }

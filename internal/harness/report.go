@@ -1,11 +1,5 @@
 package harness
 
-import (
-	"fmt"
-	"io"
-	"time"
-)
-
 // Experiment is one runnable table/figure reproduction.
 type Experiment struct {
 	// ID is the paper's table/figure identifier ("fig8", "table9", ...).
@@ -71,14 +65,4 @@ func Find(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// RunAll executes every experiment and streams rendered results to w.
-func RunAll(w io.Writer, o Options) {
-	for _, e := range Experiments() {
-		start := time.Now()
-		fmt.Fprintf(w, "== %s: %s ==\n", e.ID, e.Desc)
-		fmt.Fprint(w, e.Run(o))
-		fmt.Fprintf(w, "(%s: %.1fs)\n\n", e.ID, time.Since(start).Seconds())
-	}
 }

@@ -127,9 +127,6 @@ func (c *Cache) SetInsertPolicy(p InsertPolicy) {
 	c.insert = p
 }
 
-// Insert returns the active insertion policy.
-func (c *Cache) Insert() InsertPolicy { return c.insert }
-
 // NewCache builds a cache with the given geometry. sets must be a power of
 // two; ways must be positive (and at most 255, for the uint8 LRU links).
 func NewCache(name string, sets, ways int) *Cache {

@@ -79,7 +79,7 @@ func mustSelector(arms int, seed uint64) core.Controller {
 		Policy:    core.NewDUCB(core.PrefetchC, 0.999),
 		Normalize: true,
 		Seed:      seed ^ 0x53656c65, // "Sele"
-	}, lows, agentselectLabels, arms)
+	}, lows, arms)
 	if err != nil {
 		panic(fmt.Sprintf("scenario: agentselect selector: %v", err))
 	}

@@ -442,70 +442,6 @@ func parseBatch(body []byte, ops []batchOp) ([]batchOp, error) {
 	return ops, nil
 }
 
-// BatchOp is one decoded /v1/batch operation in client-facing form. The
-// cluster router parses mixed-owner batches into these, re-groups them
-// by owning node, and re-encodes per-node sub-batches with AppendBatchOp.
-type BatchOp struct {
-	ID     string
-	Step   bool
-	Seq    uint64
-	Reward float64
-	// Ctx, when non-nil on a step op, is the context vector
-	// [phase, mpki, bw_util] forwarded to a contextual session.
-	Ctx []float64
-}
-
-// ParseBatchOps decodes a /v1/batch body. It accepts exactly the bodies
-// the zero-allocation server codec accepts, so a batch the router splits
-// is a batch every node would have taken whole.
-func ParseBatchOps(body []byte) ([]BatchOp, error) {
-	ops, err := parseBatch(body, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]BatchOp, len(ops))
-	for i, op := range ops {
-		out[i].ID = string(body[op.idOff:op.idEnd])
-		if op.kind == opStep {
-			out[i].Step = true
-			if op.hasCtx {
-				out[i].Ctx = []float64{op.ctx[0], op.ctx[1], op.ctx[2]}
-			}
-		} else {
-			out[i].Seq, out[i].Reward = op.seq, op.reward
-		}
-	}
-	return out, nil
-}
-
-// AppendBatchOp appends op in the canonical compact spelling — the one
-// opFast decodes without entering the general parser. Context-carrying
-// step ops append a ",\"ctx\":[...]" member, which only the general
-// parser reads; that is fine, because contextual ops run on the scalar
-// path anyway.
-func AppendBatchOp(dst []byte, op BatchOp) []byte {
-	dst = append(dst, `{"id":"`...)
-	dst = append(dst, op.ID...)
-	if op.Step {
-		if op.Ctx == nil {
-			return append(dst, `","step":true}`...)
-		}
-		dst = append(dst, `","step":true,"ctx":[`...)
-		for i, f := range op.Ctx {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
-		}
-		return append(dst, ']', '}')
-	}
-	dst = append(dst, `","seq":`...)
-	dst = strconv.AppendUint(dst, op.Seq, 10)
-	dst = append(dst, `,"reward":`...)
-	dst = strconv.AppendFloat(dst, op.Reward, 'g', -1, 64)
-	return append(dst, '}')
-}
-
 // appendJSONString appends s as a JSON string literal. Error messages
 // can embed client-supplied bytes, so quoting is not optional.
 func appendJSONString(dst []byte, s string) []byte {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"microbandit/internal/core"
 	"microbandit/internal/fault"
@@ -356,30 +355,23 @@ func (st *Store) restoreSession(ck sessionCheckpoint) error {
 	return nil
 }
 
-// Record key prefixes: slab column groups ship as "g/<algo>/<arms>"
-// records, per-session fallbacks as "s/<id>".
-const (
-	recPrefixGroup   = "g/"
-	recPrefixSession = "s/"
-)
-
-// CheckpointRecord is one independently shippable unit of a checkpoint:
-// a slab column group or a single non-slab session. The replication
-// plane hashes record bodies and ships only the records that changed
-// since the replica's last acknowledged generation — a slab group whose
-// sessions saw no traffic costs nothing to re-replicate.
-type CheckpointRecord struct {
-	Key  string          `json:"key"`
-	Body json.RawMessage `json:"body"`
+// rawCheckpointFile mirrors checkpointFile with pre-encoded members, so
+// Checkpoint splices session and slab-group bodies without re-marshaling
+// them.
+type rawCheckpointFile struct {
+	V        int               `json:"v"`
+	NextID   uint64            `json:"next_id"`
+	Sessions []json.RawMessage `json:"sessions"`
+	Slabs    []json.RawMessage `json:"slabs,omitempty"`
 }
 
-// CheckpointRecords captures every live session as a sorted record list
-// plus the store's id counter. AssembleCheckpoint rebuilds the exact
-// Checkpoint() byte stream from them; the pair exists so a replication
-// sender can diff records across generations instead of re-shipping the
-// whole file.
-func (st *Store) CheckpointRecords() (nextID uint64, recs []CheckpointRecord, err error) {
-	nextID = st.nextID.Load()
+// Checkpoint serializes every live session, sorted by id. Sessions are
+// locked one at a time, so traffic on other sessions proceeds during a
+// checkpoint. Agent sessions that pass slabRecordable land in column
+// slab groups, sorted by group key; everything else keeps the
+// per-session record format.
+func (st *Store) Checkpoint() ([]byte, error) {
+	file := rawCheckpointFile{V: CheckpointVersion, NextID: st.nextID.Load()}
 	groups := make(map[string]*slabCheckpoint)
 	for _, id := range st.IDs() {
 		s, ok := st.Get(id)
@@ -388,7 +380,7 @@ func (st *Store) CheckpointRecords() (nextID uint64, recs []CheckpointRecord, er
 		}
 		ck, snap, err := checkpointSession(s)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		if snap != nil && slabRecordable(ck.Spec, snap) {
 			key := slabGroupKey(ck.Spec.Algo, snap.Arms)
@@ -403,71 +395,29 @@ func (st *Store) CheckpointRecords() (nextID uint64, recs []CheckpointRecord, er
 		if snap != nil {
 			data, err := json.Marshal(snap)
 			if err != nil {
-				return 0, nil, fmt.Errorf("session %s: %w", ck.ID, err)
+				return nil, fmt.Errorf("session %s: %w", ck.ID, err)
 			}
 			ck.Agent = data
 		}
 		body, err := json.Marshal(ck)
 		if err != nil {
-			return 0, nil, fmt.Errorf("session %s: %w", ck.ID, err)
+			return nil, fmt.Errorf("session %s: %w", ck.ID, err)
 		}
-		recs = append(recs, CheckpointRecord{Key: recPrefixSession + ck.ID, Body: body})
+		file.Sessions = append(file.Sessions, body)
 	}
-	for key, g := range groups {
-		body, err := json.Marshal(g)
+	keys := make([]string, 0, len(groups))
+	for key := range groups {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		body, err := json.Marshal(groups[key])
 		if err != nil {
-			return 0, nil, fmt.Errorf("slab group %s: %w", key, err)
+			return nil, fmt.Errorf("slab group %s: %w", key, err)
 		}
-		recs = append(recs, CheckpointRecord{Key: recPrefixGroup + key, Body: body})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-	return nextID, recs, nil
-}
-
-// rawCheckpointFile mirrors checkpointFile with pre-encoded members, so
-// AssembleCheckpoint splices record bodies without re-marshaling them.
-type rawCheckpointFile struct {
-	V        int               `json:"v"`
-	NextID   uint64            `json:"next_id"`
-	Sessions []json.RawMessage `json:"sessions"`
-	Slabs    []json.RawMessage `json:"slabs,omitempty"`
-}
-
-// AssembleCheckpoint rebuilds a version-2 checkpoint byte stream from a
-// record list. Records may arrive in any order; the output is sorted by
-// key, which is exactly Checkpoint()'s ordering — same records in, same
-// bytes out, no matter which generations the records arrived in.
-func AssembleCheckpoint(nextID uint64, recs []CheckpointRecord) ([]byte, error) {
-	sorted := make([]CheckpointRecord, len(recs))
-	copy(sorted, recs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	file := rawCheckpointFile{V: CheckpointVersion, NextID: nextID}
-	for i, r := range sorted {
-		if i > 0 && sorted[i-1].Key == r.Key {
-			return nil, &CheckpointError{Reason: fmt.Sprintf("duplicate record key %q", r.Key)}
-		}
-		switch {
-		case strings.HasPrefix(r.Key, recPrefixSession):
-			file.Sessions = append(file.Sessions, r.Body)
-		case strings.HasPrefix(r.Key, recPrefixGroup):
-			file.Slabs = append(file.Slabs, r.Body)
-		default:
-			return nil, &CheckpointError{Reason: fmt.Sprintf("unknown record key %q", r.Key)}
-		}
+		file.Slabs = append(file.Slabs, body)
 	}
 	return json.Marshal(file)
-}
-
-// Checkpoint serializes every live session, sorted by id. Sessions are
-// locked one at a time, so traffic on other sessions proceeds during a
-// checkpoint. Agent sessions that pass slabRecordable land in column
-// slab groups; everything else keeps the per-session record format.
-func (st *Store) Checkpoint() ([]byte, error) {
-	nextID, recs, err := st.CheckpointRecords()
-	if err != nil {
-		return nil, err
-	}
-	return AssembleCheckpoint(nextID, recs)
 }
 
 // WriteCheckpoint atomically persists the store to path: the file is
@@ -516,14 +466,11 @@ func decodeError(err error) *CheckpointError {
 	return ce
 }
 
-// RestoreSessions merges checkpoint bytes into a live store: every
-// session in the file is rebuilt exactly as RestoreCheckpoint would,
-// alongside whatever the store already serves. A promoted replica uses
-// this to absorb its dead predecessor's sessions without interrupting
-// its own. Duplicate ids (in the file, or already live) are errors; the
-// id counter ratchets to the file's so future Create calls cannot mint
-// a restored session's id.
-func (st *Store) RestoreSessions(data []byte) error {
+// restoreSessions rebuilds every session in checkpoint bytes into st.
+// Duplicate ids (in the file, or already live) are errors; the id
+// counter ratchets to the file's so future Create calls cannot mint a
+// restored session's id.
+func (st *Store) restoreSessions(data []byte) error {
 	var file checkpointFile
 	if err := json.Unmarshal(data, &file); err != nil {
 		return decodeError(err)
@@ -562,7 +509,7 @@ func (st *Store) RestoreSessions(data []byte) error {
 // damage — and it never panics on hostile input.
 func RestoreCheckpoint(data []byte, shards int) (*Store, error) {
 	st := NewStore(shards)
-	if err := st.RestoreSessions(data); err != nil {
+	if err := st.restoreSessions(data); err != nil {
 		return nil, err
 	}
 	return st, nil

@@ -279,44 +279,6 @@ func TestBatchContextErrors(t *testing.T) {
 	}
 }
 
-// TestBatchOpCtxRoundTrip: AppendBatchOp emits ctx members that
-// ParseBatchOps recovers exactly.
-func TestBatchOpCtxRoundTrip(t *testing.T) {
-	in := []BatchOp{
-		{ID: "a", Step: true, Ctx: []float64{2, 7.5, 0.25}},
-		{ID: "b", Step: true},
-		{ID: "a", Seq: 0, Reward: 0.5},
-	}
-	body := []byte(`{"ops":[`)
-	for i, op := range in {
-		if i > 0 {
-			body = append(body, ',')
-		}
-		body = AppendBatchOp(body, op)
-	}
-	body = append(body, []byte(`]}`)...)
-	out, err := ParseBatchOps(body)
-	if err != nil {
-		t.Fatalf("ParseBatchOps(%s): %v", body, err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round-tripped %d ops, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i].ID != in[i].ID || out[i].Step != in[i].Step {
-			t.Fatalf("op %d: %+v vs %+v", i, out[i], in[i])
-		}
-		if len(out[i].Ctx) != len(in[i].Ctx) {
-			t.Fatalf("op %d ctx: %v vs %v", i, out[i].Ctx, in[i].Ctx)
-		}
-		for j := range in[i].Ctx {
-			if out[i].Ctx[j] != in[i].Ctx[j] {
-				t.Fatalf("op %d ctx[%d]: %v vs %v", i, j, out[i].Ctx[j], in[i].Ctx[j])
-			}
-		}
-	}
-}
-
 // TestContextualCheckpointRoundTrip is the contextual acceptance test:
 // contextual sessions checkpoint mid-stream (one with an open step in a
 // non-zero context) and the restored store continues decision-identically

@@ -24,14 +24,6 @@ const (
 	// CodeConflict rejects a PUT create whose id is taken by a session
 	// with a different spec.
 	CodeConflict = "conflict"
-	// CodeDraining marks a 503 from a draining server; the response
-	// carries a Retry-After header and the operation is safe to retry
-	// (here after the drain, or on the session's new node).
-	CodeDraining = "draining"
-	// CodeUnavailable marks a 503 from the cluster router when a
-	// session's node is down and its replica has not been promoted yet.
-	// Like CodeDraining it arrives with a Retry-After header.
-	CodeUnavailable = "unavailable"
 )
 
 // ProtocolError is a deterministic rejection of a step/reward request
@@ -59,7 +51,7 @@ type CheckpointError struct {
 	// Offset is the byte offset the decode failed at, when known (JSON
 	// syntax and type errors carry one; structural validation failures
 	// leave it 0). A truncated or bit-flipped checkpoint names the
-	// damage site so an operator can diff it against a replica's copy.
+	// damage site so an operator can diff it against a good copy.
 	Offset int64
 }
 

@@ -15,18 +15,17 @@
 // *serve.Server measures the decision engine itself — no sockets, no
 // kernel — which is the configuration the repo's reference numbers in
 // BENCH_serve.json use; handing it NewHTTPTarget measures a live server
-// over real sockets instead. Multi-target mode (Options.Targets) spreads
-// the workers round-robin over several endpoints — the cluster benchmark
-// drives every node of a ring this way — and reports a per-target
-// latency histogram next to the merged one.
+// over real sockets instead.
 //
-// The workers are cluster-aware clients: a 503 (draining node, dead
-// node, mid-failover router) is retried with jittered exponential
-// backoff, honoring a Retry-After hint when one arrives; a typed
-// sequence-protocol 409 after a failover is resolved by resyncing
-// against GET /v1/sessions/{id} and rewarding the server's open
-// decision. Both paths count separately from Errors — a healthy chaos
-// run ends with zero Errors and a nonzero Retries/Resyncs tally.
+// The workers are retrying clients: a 503 or a transport failure is
+// retried with jittered exponential backoff, honoring a Retry-After hint
+// when one arrives; a typed sequence-protocol 409 — a server restarted
+// from its checkpoint rewinds its sessions to that checkpoint — is
+// resolved by resyncing against GET /v1/sessions/{id} and rewarding the
+// server's open decision, and a 404 re-creates the session under its
+// old id. Both paths count separately from Errors, so a run that
+// recovers from every failure ends with zero Errors and a nonzero
+// Retries/Resyncs tally.
 package loadgen
 
 import (
@@ -49,22 +48,13 @@ import (
 	"microbandit/internal/xrand"
 )
 
-// Target is one named endpoint a multi-target run drives.
-type Target struct {
-	// Name labels the target in the per-target results.
-	Name string
-	// Handler serves the target's requests (an in-process server, or a
-	// NewHTTPTarget proxy for a live one).
-	Handler http.Handler
-}
-
-// NewHTTPTarget returns a target that proxies every request to a live
-// server at base ("http://host:port") over real sockets. Transport
-// failures surface as 502 responses, which the workers treat like a
-// bare 503: retryable, with backoff.
-func NewHTTPTarget(name, base string) Target {
+// NewHTTPTarget returns a handler that proxies every request to a live
+// server at base ("http://host:port") over real sockets; pass it as
+// Options.Handler. Transport failures surface as 502 responses, which
+// the workers treat like a bare 503: retryable, with backoff.
+func NewHTTPTarget(base string) http.Handler {
 	client := &http.Client{Timeout: 30 * time.Second}
-	return Target{Name: name, Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		url := base + r.URL.Path
 		if r.URL.RawQuery != "" {
 			url += "?" + r.URL.RawQuery
@@ -86,19 +76,14 @@ func NewHTTPTarget(name, base string) Target {
 		}
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, resp.Body)
-	})}
+	})
 }
 
 // Options configures a load run.
 type Options struct {
-	// Handler is the server under test, driven in-process. Ignored when
-	// Targets is set.
+	// Handler is the server under test: an in-process *serve.Server, or
+	// a NewHTTPTarget proxy for a live one.
 	Handler http.Handler
-	// Targets, when non-empty, spreads the workers round-robin across
-	// several endpoints (worker i drives Targets[i mod len]). The result
-	// then carries one latency summary per target next to the merged
-	// numbers.
-	Targets []Target
 	// Workers is the number of closed-loop workers, each with its own
 	// session. Defaults to 8.
 	Workers int
@@ -172,14 +157,15 @@ type Result struct {
 	P99PerDecisionUs float64 `json:"p99_per_decision_us"`
 	// Errors counts unexpected failures: non-2xx responses and per-op
 	// batch errors that are neither retryable (503/transport → Retries)
-	// nor protocol resyncs (409/404 after a failover → Resyncs). A
-	// healthy run — chaos included — ends with 0.
+	// nor protocol resyncs (409/404 after a server rewind → Resyncs). A
+	// healthy run ends with 0.
 	Errors int64 `json:"errors"`
 	// Retries counts backed-off retries of 503/transport failures.
 	Retries int64 `json:"retries"`
 	// Resyncs counts sequence-protocol recoveries: open decisions
-	// re-read and rewarded after a failover rewind, and sessions
-	// re-created after a promote that predated them.
+	// re-read and rewarded after a server rewound to its checkpoint, and
+	// sessions re-created after a restart from a checkpoint that
+	// predated them.
 	Resyncs int64 `json:"resyncs"`
 	// Samples is the number of latency samples behind the percentiles.
 	Samples int64 `json:"samples"`
@@ -188,22 +174,6 @@ type Result struct {
 	// the percentiles and throughput above are reported as explicit
 	// zeros, not divisions of an empty interval.
 	ZeroSample bool `json:"zero_sample,omitempty"`
-	// PerTarget breaks the run down by target in multi-target mode.
-	PerTarget []TargetResult `json:"per_target,omitempty"`
-}
-
-// TargetResult is one target's share of a multi-target run.
-type TargetResult struct {
-	Name      string  `json:"name"`
-	Workers   int     `json:"workers"`
-	Requests  int64   `json:"requests"`
-	Decisions int64   `json:"decisions"`
-	Errors    int64   `json:"errors"`
-	Retries   int64   `json:"retries"`
-	Resyncs   int64   `json:"resyncs"`
-	Samples   int64   `json:"samples"`
-	P50Us     float64 `json:"p50_us"`
-	P99Us     float64 `json:"p99_us"`
 }
 
 // Run drives the handler until the duration elapses or ctx is canceled,
@@ -212,17 +182,8 @@ type TargetResult struct {
 // returns the partial measurement.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	opts.normalize()
-	targets := opts.Targets
-	if len(targets) == 0 {
-		if opts.Handler == nil {
-			return nil, errors.New("loadgen: Options.Handler is nil")
-		}
-		targets = []Target{{Name: "default", Handler: opts.Handler}}
-	}
-	for _, tg := range targets {
-		if tg.Handler == nil {
-			return nil, fmt.Errorf("loadgen: target %q has a nil handler", tg.Name)
-		}
+	if opts.Handler == nil {
+		return nil, errors.New("loadgen: Options.Handler is nil")
 	}
 	if err := opts.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("loadgen: spec: %w", err)
@@ -231,19 +192,17 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	var recording atomic.Bool
 	workers := make([]*worker, opts.Workers)
 	for i := range workers {
-		tg := i % len(targets)
 		var w *worker
 		var err error
 		if opts.Batch > 0 {
-			w, err = newBatchWorker(targets[tg].Handler, opts.Spec, i, opts.Batch)
+			w, err = newBatchWorker(opts.Handler, opts.Spec, i, opts.Batch)
 		} else {
-			w, err = newWorker(targets[tg].Handler, opts.Spec, i)
+			w, err = newWorker(opts.Handler, opts.Spec, i)
 		}
 		if err != nil {
 			return nil, err
 		}
 		w.rec = &recording
-		w.target = tg
 		w.rng = xrand.New(uint64(i)*0x9e3779b9 + 1)
 		workers[i] = w
 	}
@@ -281,11 +240,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		Seconds:       elapsed,
 	}
 	var hist histogram
-	perTarget := make([]TargetResult, len(targets))
-	perHist := make([]histogram, len(targets))
-	for i := range targets {
-		perTarget[i].Name = targets[i].Name
-	}
 	for _, w := range workers {
 		res.Decisions += w.decisions
 		res.Requests += w.requests
@@ -293,14 +247,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		res.Retries += w.retries
 		res.Resyncs += w.resyncs
 		hist.merge(&w.hist)
-		tr := &perTarget[w.target]
-		tr.Workers++
-		tr.Requests += w.requests
-		tr.Decisions += w.decisions
-		tr.Errors += w.errors
-		tr.Retries += w.retries
-		tr.Resyncs += w.resyncs
-		perHist[w.target].merge(&w.hist)
 	}
 	res.Samples = hist.count
 	if hist.count == 0 {
@@ -308,9 +254,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		// every request bounced) reports explicit zeros, never a quantile
 		// over nothing.
 		res.ZeroSample = true
-		if len(targets) > 1 {
-			res.PerTarget = perTarget
-		}
 		return res, nil
 	}
 	if elapsed > 0 {
@@ -327,16 +270,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	res.P50PerDecisionUs = res.P50Us / perReq
 	res.P99PerDecisionUs = res.P99Us / perReq
-	if len(targets) > 1 {
-		for i := range perTarget {
-			perTarget[i].Samples = perHist[i].count
-			if perHist[i].count > 0 {
-				perTarget[i].P50Us = perHist[i].quantile(0.50) / 1000
-				perTarget[i].P99Us = perHist[i].quantile(0.99) / 1000
-			}
-		}
-		res.PerTarget = perTarget
-	}
 	return res, nil
 }
 
@@ -350,12 +283,11 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 // request/recorder pairs, which matters because every µs the generator
 // burns is a µs the server under test cannot.
 type worker struct {
-	h      http.Handler
-	base   string
-	rec    *atomic.Bool // flips true when the measured window opens
-	target int
-	rng    *xrand.Rand // backoff jitter
-	spec   serve.Spec  // the worker's (seed-diversified) session spec
+	h    http.Handler
+	base string
+	rec  *atomic.Bool // flips true when the measured window opens
+	rng  *xrand.Rand  // backoff jitter
+	spec serve.Spec   // the worker's (seed-diversified) session spec
 
 	// Scalar mode.
 	id        string
@@ -472,8 +404,8 @@ func createSession(h http.Handler, spec serve.Spec) (string, error) {
 }
 
 // createSessionAt re-creates a session under a known id via the
-// idempotent PUT — how a worker resurrects its session after a failover
-// promoted a replica that never saw it. The restarted session replays
+// idempotent PUT — how a worker resurrects its session after the server
+// restarted from a checkpoint that never saw it. The restarted session replays
 // the same decision stream the original produced (same id, same spec,
 // same seed).
 func createSessionAt(h http.Handler, id string, spec serve.Spec) error {
@@ -532,8 +464,8 @@ func newBatchWorker(h http.Handler, spec serve.Spec, idx, batch int) (*worker, e
 }
 
 // retryable reports whether a status is worth backing off and retrying:
-// 503 (draining node, dead node, mid-failover router) and 502 (the
-// HTTP-proxy target's transport failure).
+// 503 (an overloaded or restarting server, or a proxy in front of one)
+// and 502 (the HTTP-proxy target's transport failure).
 func retryable(code int) bool {
 	return code == http.StatusServiceUnavailable || code == http.StatusBadGateway
 }
@@ -548,10 +480,10 @@ const (
 )
 
 // backoff sleeps before the next retry: the server's Retry-After hint
-// when one arrived (a draining node knows its own timeline), otherwise
-// jittered exponential in the worker's consecutive-failure count. The
-// jitter decorrelates the worker fleet so a failover is not greeted by
-// a synchronized stampede. Returns false when ctx ended mid-sleep.
+// when one arrived, otherwise jittered exponential in the worker's
+// consecutive-failure count. The jitter decorrelates the workers so a
+// recovering server is not greeted by a synchronized stampede. Returns
+// false when ctx ended mid-sleep.
 func (w *worker) backoff(ctx context.Context) bool {
 	d := time.Duration(0)
 	if ra := w.resp.hdr.Get("Retry-After"); ra != "" {
@@ -618,9 +550,9 @@ func sessionInfo(h http.Handler, id string) (seq uint64, open bool, arm int, cod
 // runScalar is the scalar closed loop. It checks ctx between decisions,
 // not between the step and its reward, so a canceled run never leaves
 // the session with an open decision. Failure handling mirrors what any
-// well-behaved cluster client must do: back off on 503s, resync the
-// sequence protocol on 409s, re-create the session on 404s — and only
-// count an error when none of those apply.
+// well-behaved client must do: back off on 503s, resync the sequence
+// protocol on 409s, re-create the session on 404s — and only count an
+// error when none of those apply.
 func (w *worker) runScalar(ctx context.Context) {
 	var stepResp struct {
 		Seq uint64 `json:"seq"`
@@ -694,7 +626,7 @@ func (w *worker) recoverScalar(ctx context.Context, body []byte, code int, recor
 		w.backoff(ctx)
 	case code == http.StatusConflict && errCode(body) == serve.CodeStepOpen:
 		// A decision is open server-side that this client never saw the
-		// reward ack for (lost response, or a failover rewound the
+		// reward ack for (lost response, or a restart rewound the
 		// session to its last checkpoint). Read it back and reward it
 		// with the same deterministic function — the stream continues
 		// byte-identically.
@@ -706,7 +638,7 @@ func (w *worker) recoverScalar(ctx context.Context, body []byte, code int, recor
 			w.resyncs++
 		}
 	case code == http.StatusNotFound:
-		// The session predates the replica's first committed checkpoint:
+		// The session postdates the checkpoint the server restarted from:
 		// re-create it under the same id and spec; the replayed stream
 		// is identical by determinism.
 		if err := createSessionAt(w.h, w.id, w.spec); err == nil && recording {
@@ -785,8 +717,8 @@ func (w *worker) runBatch(ctx context.Context) {
 
 // resolveBatch runs the out-of-band recoveries a round's per-op errors
 // called for: resync sessions with an unexpected open decision (reward
-// it deterministically next round), re-create sessions a promoted
-// replica never had.
+// it deterministically next round), re-create sessions a restarted
+// server never had.
 func (w *worker) resolveBatch(recording bool) {
 	for j := range w.ids {
 		if w.needInfo[j] {
@@ -911,24 +843,18 @@ func (w *worker) classifyOpError(ri, nRewards int, code string, recording bool) 
 	switch code {
 	case serve.CodeStepOpen:
 		// A step bounced off an open decision this client never closed —
-		// the failover-rewind signature. Re-read and reward it after the
+		// the restart-rewind signature. Re-read and reward it after the
 		// round.
 		w.needInfo[j] = true
 	case serve.CodeNoOpenStep, serve.CodeSeqMismatch:
 		// A stale reward (duplicate delivery, or the open decision moved
-		// under a failover). Drop it; the step path re-learns the truth.
+		// under a restart). Drop it; the step path re-learns the truth.
 		w.pend[j].has = false
 		if recording {
 			w.resyncs++
 		}
 	case serve.CodeNotFound:
 		w.needCreate[j] = true
-	case serve.CodeUnavailable, serve.CodeDraining:
-		// The op's owner is mid-failover or draining; keep the pending
-		// reward and let the next round retry it.
-		if recording {
-			w.retries++
-		}
 	default:
 		w.pend[j].has = false
 		if recording {
@@ -938,7 +864,7 @@ func (w *worker) classifyOpError(ri, nRewards int, code string, recording bool) 
 }
 
 // batchErrCodeAt extracts the code from an error result element without
-// allocating (the hot loop stays zero-alloc even while chaos rains).
+// allocating (the hot loop stays zero-alloc even while ops fail).
 func batchErrCodeAt(b []byte, pos int) string {
 	const prefix = `{"error":{"code":"`
 	if !hasAt(b, pos, prefix) {
@@ -958,10 +884,6 @@ func batchErrCodeAt(b []byte, pos int) string {
 		return serve.CodeSeqMismatch
 	case hasAt(b, start, serve.CodeNotFound) && end-start == len(serve.CodeNotFound):
 		return serve.CodeNotFound
-	case hasAt(b, start, serve.CodeUnavailable) && end-start == len(serve.CodeUnavailable):
-		return serve.CodeUnavailable
-	case hasAt(b, start, serve.CodeDraining) && end-start == len(serve.CodeDraining):
-		return serve.CodeDraining
 	}
 	return string(b[start:end])
 }

@@ -201,46 +201,27 @@ func TestWarmupExcluded(t *testing.T) {
 	}
 }
 
-// TestRunMultiTarget: workers spread round-robin over two servers, and
-// the result carries one latency summary per target.
-func TestRunMultiTarget(t *testing.T) {
-	a := serve.New(serve.Config{})
-	b := serve.New(serve.Config{})
+// TestHTTPTargetProxiesLiveServer: NewHTTPTarget drives a live server
+// over real sockets exactly as the in-process handler would be driven.
+func TestHTTPTargetProxiesLiveServer(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	live := httptest.NewServer(srv)
+	defer live.Close()
 	res, err := Run(context.Background(), Options{
-		Targets: []Target{
-			{Name: "node-a", Handler: a},
-			{Name: "node-b", Handler: b},
-		},
-		Workers:  4,
+		Handler:  NewHTTPTarget(live.URL),
+		Workers:  2,
+		Batch:    4,
 		Duration: 150 * time.Millisecond,
 		Warmup:   -1,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.Errors != 0 {
-		t.Fatalf("errors = %d", res.Errors)
+	if res.Errors != 0 || res.Decisions == 0 {
+		t.Fatalf("errors = %d, decisions = %d", res.Errors, res.Decisions)
 	}
-	if len(res.PerTarget) != 2 {
-		t.Fatalf("per_target entries = %d, want 2", len(res.PerTarget))
-	}
-	var sumReq, sumDec int64
-	for _, tr := range res.PerTarget {
-		if tr.Workers != 2 {
-			t.Fatalf("target %s got %d workers, want 2", tr.Name, tr.Workers)
-		}
-		if tr.Requests == 0 || tr.Samples == 0 || tr.P50Us <= 0 {
-			t.Fatalf("target %s has no measurement: %+v", tr.Name, tr)
-		}
-		sumReq += tr.Requests
-		sumDec += tr.Decisions
-	}
-	if sumReq != res.Requests || sumDec != res.Decisions {
-		t.Fatalf("per-target sums (%d req, %d dec) disagree with totals (%d, %d)",
-			sumReq, sumDec, res.Requests, res.Decisions)
-	}
-	if a.Store().Len() != 2 || b.Store().Len() != 2 {
-		t.Fatalf("sessions split %d/%d, want 2/2", a.Store().Len(), b.Store().Len())
+	if got := srv.Store().Len(); got != 2*4 {
+		t.Fatalf("live server holds %d sessions, want 8", got)
 	}
 }
 
@@ -271,17 +252,26 @@ func TestZeroSampleRun(t *testing.T) {
 	}
 }
 
-// TestDrainingCountsRetriesNotErrors: a server that drains mid-run
-// produces Retry-After'd 503s, which the workers back off on — retries,
-// never errors.
+// TestDrainingCountsRetriesNotErrors: a server that starts draining
+// mid-run answers 503 with a Retry-After hint, which the workers back
+// off on — retries, never errors.
 func TestDrainingCountsRetriesNotErrors(t *testing.T) {
 	srv := serve.New(serve.Config{})
+	var draining atomic.Bool
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if draining.Load() {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, `{"error":{"code":"draining"}}`, http.StatusServiceUnavailable)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	})
 	go func() {
 		time.Sleep(50 * time.Millisecond)
-		srv.SetState(serve.StateDraining)
+		draining.Store(true)
 	}()
 	res, err := Run(context.Background(), Options{
-		Handler:  srv,
+		Handler:  h,
 		Workers:  2,
 		Duration: 300 * time.Millisecond,
 		Warmup:   -1,

@@ -36,10 +36,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"microbandit/internal/obs"
 )
@@ -47,24 +44,6 @@ import (
 // maxBodyBytes bounds request bodies; every valid request fits well
 // within it.
 const maxBodyBytes = 1 << 20
-
-// Lifecycle states gating readiness. Liveness (GET /healthz) answers 200
-// in every state — the process is up; readiness (GET /readyz) answers 200
-// only in StateReady, so a cluster router stops placing traffic on a node
-// before the node stops accepting it.
-const (
-	// StateReady serves everything.
-	StateReady int32 = iota
-	// StateNotReady fails readiness but still accepts operations: the
-	// first stage of a drain (or a node mid-restore), giving routers a
-	// probe interval to steer traffic away before operations start
-	// bouncing.
-	StateNotReady
-	// StateDraining fails readiness and answers mutating operations with
-	// 503 plus a Retry-After header, telling well-behaved clients to back
-	// off and retry elsewhere.
-	StateDraining
-)
 
 // Config configures a Server.
 type Config struct {
@@ -83,22 +62,17 @@ type Config struct {
 	Version string
 	// CheckpointPath, when non-empty, enables POST /v1/checkpoint.
 	CheckpointPath string
-	// RetryAfter is the backoff hint a draining server attaches to its
-	// 503 responses (rounded up to whole seconds; zero selects 1s).
-	RetryAfter time.Duration
 }
 
 // Server is the bandit-as-a-service HTTP surface. Construct with New;
 // it is safe for concurrent use by any number of connections.
 type Server struct {
-	store      *Store
-	rec        obs.Recorder // mutex-wrapped; nil when telemetry is off
-	obsEvery   int
-	version    string
-	ckptPath   string
-	state      atomic.Int32 // StateReady / StateNotReady / StateDraining
-	retryAfter string       // Retry-After header value, whole seconds
-	mux        *http.ServeMux
+	store    *Store
+	rec      obs.Recorder // mutex-wrapped; nil when telemetry is off
+	obsEvery int
+	version  string
+	ckptPath string
+	mux      *http.ServeMux
 }
 
 // New builds a server over cfg.
@@ -107,16 +81,11 @@ func New(cfg Config) *Server {
 	if st == nil {
 		st = NewStore(0)
 	}
-	ra := cfg.RetryAfter
-	if ra <= 0 {
-		ra = time.Second
-	}
 	s := &Server{
-		store:      st,
-		obsEvery:   cfg.ObsEvery,
-		version:    cfg.Version,
-		ckptPath:   cfg.CheckpointPath,
-		retryAfter: strconv.Itoa(int((ra + time.Second - 1) / time.Second)),
+		store:    st,
+		obsEvery: cfg.ObsEvery,
+		version:  cfg.Version,
+		ckptPath: cfg.CheckpointPath,
 	}
 	if cfg.Obs != nil {
 		s.rec = &lockedRecorder{inner: cfg.Obs}
@@ -139,16 +108,6 @@ func New(cfg Config) *Server {
 
 // Store returns the backing session store.
 func (s *Server) Store() *Store { return s.store }
-
-// State returns the server's lifecycle state.
-func (s *Server) State() int32 { return s.state.Load() }
-
-// SetState moves the server between lifecycle states. A drain is the
-// two-beat sequence StateNotReady (readiness fails, traffic still
-// served) then StateDraining (operations bounce with Retry-After); a
-// node restoring sessions sits in StateNotReady until the restore
-// completes.
-func (s *Server) SetState(st int32) { s.state.Store(st) }
 
 // ServeHTTP implements http.Handler with panic recovery: a panicking
 // handler (an injected chaos fault, or a bug) answers 500 with a typed
@@ -251,40 +210,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleReadyz is the readiness probe: 200 only while the node should
-// receive new traffic. A draining or restoring node fails readiness
-// (with the same Retry-After hint its bounced operations carry) before
-// it stops accepting operations, so a router that honors the probe
-// never routes to a node mid-restore.
+// handleReadyz is the readiness probe. The server is ready whenever it
+// answers: a checkpoint restore completes before the listener opens,
+// and mab-serve drains through http.Server.Shutdown, which closes the
+// listener before it waits for in-flight requests.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if st := s.state.Load(); st != StateReady {
-		w.Header().Set("Retry-After", s.retryAfter)
-		status := "not_ready"
-		if st == StateDraining {
-			status = "draining"
-		}
-		writeJSON(w, http.StatusServiceUnavailable, readyzResponse{Status: status, Sessions: s.store.Len()})
-		return
-	}
 	writeJSON(w, http.StatusOK, readyzResponse{Status: "ready", Sessions: s.store.Len()})
 }
 
-// gate bounces mutating operations while the server drains: 503 with a
-// Retry-After header, which retrying clients (the loadgen, the cluster
-// router) treat as "back off, then try again" rather than an error.
-func (s *Server) gate(w http.ResponseWriter) bool {
-	if s.state.Load() != StateDraining {
-		return true
-	}
-	w.Header().Set("Retry-After", s.retryAfter)
-	writeError(w, http.StatusServiceUnavailable, CodeDraining, "server is draining")
-	return false
-}
-
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	var spec Spec
 	if !decodeBody(w, r, &spec) {
 		return
@@ -298,15 +232,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, createResponse{ID: sess.ID(), Arms: sess.Spec().Arms})
 }
 
-// handleCreateAt creates a session under a caller-chosen id — the
-// cluster router names sessions itself so their ring placement is
-// deterministic before any node is involved. The handler is idempotent
-// for retries: re-PUTting an identical spec answers 200 with the
-// existing session, while a conflicting spec under a taken id is a 409.
+// handleCreateAt creates a session under a caller-chosen id — how a
+// client re-creates its session, under the id it already holds, on a
+// server restarted from a checkpoint that predates the session. The
+// handler is idempotent for retries: re-PUTting an identical spec
+// answers 200 with the existing session, while a conflicting spec under
+// a taken id is a 409.
 func (s *Server) handleCreateAt(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	var spec Spec
 	if !decodeBody(w, r, &spec) {
 		return
@@ -369,9 +301,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	sess, ok := s.session(w, r)
 	if !ok {
 		return
@@ -406,9 +335,6 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReward(w http.ResponseWriter, r *http.Request) {
-	if !s.gate(w) {
-		return
-	}
 	sess, ok := s.session(w, r)
 	if !ok {
 		return

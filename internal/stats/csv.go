@@ -3,11 +3,10 @@ package stats
 import "strings"
 
 // This file is the single CSV quoting path for the repo: every CSV
-// emitter (Table.CSV, SeriesCSV, the telemetry aggregators, the error
-// appendix) renders rows through WriteCSVRow, so fields containing
-// commas, quotes, or newlines — fault specs, panic messages, series
-// names — always arrive quoted per RFC 4180 and round-trip through
-// encoding/csv.
+// emitter (Table.CSV, SeriesCSV, the telemetry aggregators) renders
+// rows through WriteCSVRow, so fields containing commas, quotes, or
+// newlines — fault specs, series names — always arrive quoted per
+// RFC 4180 and round-trip through encoding/csv.
 
 // CSVField returns s quoted for use as one CSV cell: unchanged when s
 // contains no comma, quote, CR, or LF; otherwise wrapped in quotes with
@@ -29,11 +28,4 @@ func WriteCSVRow(b *strings.Builder, cells ...string) {
 		b.WriteString(CSVField(c))
 	}
 	b.WriteByte('\n')
-}
-
-// CSVRow renders cells as one CSV line, including the trailing newline.
-func CSVRow(cells ...string) string {
-	var b strings.Builder
-	WriteCSVRow(&b, cells...)
-	return b.String()
 }

@@ -31,7 +31,9 @@ func TestCSVFieldQuoting(t *testing.T) {
 // asserts encoding/csv recovers them exactly.
 func TestCSVRowRoundTrip(t *testing.T) {
 	cells := []string{"noise:0.5:7", "panic: bad, very bad", "multi\nline", `q"q`, "plain"}
-	row := CSVRow(cells...)
+	var b strings.Builder
+	WriteCSVRow(&b, cells...)
+	row := b.String()
 	got, err := csv.NewReader(strings.NewReader(row)).Read()
 	if err != nil {
 		t.Fatalf("encoding/csv rejects emitted row %q: %v", row, err)

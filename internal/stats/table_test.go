@@ -51,30 +51,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestBarChart(t *testing.T) {
-	out := BarChart("bars", []string{"a", "bb"}, []float64{1, -2}, 10)
-	if !strings.Contains(out, "bars") {
-		t.Error("missing title")
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3", len(lines))
-	}
-	if !strings.Contains(lines[2], "-") || !strings.Contains(lines[2], "##########") {
-		t.Errorf("negative full-scale bar wrong: %q", lines[2])
-	}
-	if strings.Count(lines[1], "#") != 5 {
-		t.Errorf("half-scale bar has %d glyphs, want 5: %q", strings.Count(lines[1], "#"), lines[1])
-	}
-}
-
-func TestBarChartZeroValues(t *testing.T) {
-	out := BarChart("", []string{"z"}, []float64{0}, 10)
-	if strings.Contains(out, "#") {
-		t.Errorf("zero value drew a bar: %q", out)
-	}
-}
-
 func TestLinePlot(t *testing.T) {
 	s1 := NewSeries("up", []float64{0, 1, 2, 3})
 	s2 := NewSeries("down", []float64{3, 2, 1, 0})

@@ -141,17 +141,6 @@ func (r *Rand) ExpFloat64() float64 {
 	}
 }
 
-// Perm returns a random permutation of [0, n) (Fisher-Yates).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Geometric returns a sample from the geometric distribution with success
 // probability p: the number of failures before the first success. For
 // p >= 1 it returns 0; p <= 0 panics (the distribution is undefined).
@@ -167,12 +156,6 @@ func (r *Rand) Geometric(p float64) int {
 		return 0
 	}
 	return int(math.Floor(math.Log(1-u) / math.Log(1-p)))
-}
-
-// Fork derives an independent generator from this one. The child stream is
-// decorrelated from the parent by reseeding through SplitMix64.
-func (r *Rand) Fork() *Rand {
-	return New(r.Uint64())
 }
 
 // State returns the generator's full internal state, for checkpointing.

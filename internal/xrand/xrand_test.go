@@ -139,23 +139,6 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(17)
-	for _, n := range []int{0, 1, 2, 5, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestGeometric(t *testing.T) {
 	r := New(19)
 	if got := r.Geometric(1); got != 0 {
@@ -170,20 +153,6 @@ func TestGeometric(t *testing.T) {
 	want := (1 - p) / p // mean of failures-before-success geometric
 	if math.Abs(mean-want) > 0.1*want {
 		t.Errorf("geometric mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestForkDecorrelated(t *testing.T) {
-	parent := New(23)
-	child := parent.Fork()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("fork produced %d identical outputs in 100 draws", same)
 	}
 }
 
