@@ -24,8 +24,8 @@
 // measures serving throughput — the scalar step/reward baseline, then a
 // /v1/batch size sweep — and writes BENCH_batch.json. -simbench
 // measures raw single-run simulator throughput (insts/sec per catalog
-// workload) and writes BENCH_sim.json, optionally computing speedups
-// against a previously recorded run.
+// workload, committed uops/sec per SMT mix) and writes BENCH_sim.json,
+// optionally computing speedups against a previously recorded run.
 //
 // Failed experiment jobs (including recovered panics) never crash the
 // report: the affected experiment renders partial results, an error
@@ -74,10 +74,10 @@ func main() {
 	parBench := flag.String("parbench", "", "time Table8 and Fig5 serial vs parallel, write JSON here")
 	serveBench := flag.String("servebench", "", "measure serving throughput (scalar baseline + /v1/batch size sweep), write JSON here")
 	serveBenchDur := flag.Duration("servebench-duration", 2*time.Second, "with -servebench: measured window per configuration")
-	simBench := flag.String("simbench", "", "measure single-run simulator throughput (insts/sec per workload), write JSON here")
+	simBench := flag.String("simbench", "", "measure single-run simulator throughput (insts/sec per prefetch workload, uops/sec per SMT mix), write JSON here")
 	simBenchBaseline := flag.String("simbench-baseline", "", "with -simbench: previously recorded BENCH_sim.json to compute speedups against")
 	simBenchInsts := flag.Int64("simbench-insts", simbench.DefaultInsts, "with -simbench: instructions per workload")
-	simBenchGuard := flag.Float64("simbench-guard", 0, "with -simbench-baseline: exit 1 if gmean speedup vs the baseline falls below this ratio (skipped when the CPU counts differ)")
+	simBenchGuard := flag.Float64("simbench-guard", 0, "with -simbench-baseline: exit 1 if the prefetch or the SMT gmean speedup vs the baseline falls below this ratio (skipped when the CPU counts differ)")
 	noChunkCache := flag.Bool("no-chunk-cache", false, "disable the shared trace chunk cache for experiment runs (outputs are byte-identical either way; this only trades speed for memory)")
 	telemetry := flag.String("telemetry", "", "with -robust: write a JSONL telemetry event stream to this path (plus timeline.csv/regret.csv alongside)")
 	telemetryEvery := flag.Int("telemetry-every", 100, "telemetry snapshot/interval cadence in bandit steps")
@@ -456,23 +456,42 @@ func runSimBench(path, baselinePath string, insts int64, seed uint64, guard floa
 	if rep.GMeanSpeedupMemo > 0 {
 		fmt.Printf("gmean speedup (warm chunk cache): %.2fx\n", rep.GMeanSpeedupMemo)
 	}
+	for _, w := range rep.SMT {
+		line := fmt.Sprintf("smt %-22s: %.0f uops/sec, sumipc %s", w.Name, w.UopsPerSec, w.SumIPCBits)
+		if w.Speedup > 0 {
+			line += fmt.Sprintf(", %.2fx vs baseline", w.Speedup)
+		}
+		fmt.Println(line)
+	}
+	if rep.GMeanSpeedupSMT > 0 {
+		fmt.Printf("gmean speedup (smt): %.2fx\n", rep.GMeanSpeedupSMT)
+	}
 	// Write the report before the guard verdict so a failing run still
 	// leaves its measurements behind for diagnosis.
 	if err := simbench.WriteReport(path, rep); err != nil {
 		return err
 	}
 	if guard > 0 {
-		switch {
-		case base.CPUs != rep.CPUs:
+		if base.CPUs != rep.CPUs {
 			// Different vCPU class: absolute throughput is not
 			// comparable, so the guard abstains rather than flaking.
 			fmt.Printf("simbench guard: skipped (baseline recorded on %d CPUs, this host has %d)\n",
 				base.CPUs, rep.CPUs)
-		case rep.GMeanSpeedup < guard:
+			return nil
+		}
+		if rep.GMeanSpeedup < guard {
 			return fmt.Errorf("simbench guard: gmean %.3fx vs %s is below the %.2fx floor",
 				rep.GMeanSpeedup, baselinePath, guard)
+		}
+		fmt.Printf("simbench guard: ok (gmean %.2fx >= %.2fx floor)\n", rep.GMeanSpeedup, guard)
+		switch {
+		case len(base.SMT) == 0:
+			fmt.Printf("simbench guard (smt): skipped (%s has no SMT rows)\n", baselinePath)
+		case rep.GMeanSpeedupSMT < guard:
+			return fmt.Errorf("simbench guard (smt): gmean %.3fx vs %s is below the %.2fx floor",
+				rep.GMeanSpeedupSMT, baselinePath, guard)
 		default:
-			fmt.Printf("simbench guard: ok (gmean %.2fx >= %.2fx floor)\n", rep.GMeanSpeedup, guard)
+			fmt.Printf("simbench guard (smt): ok (gmean %.2fx >= %.2fx floor)\n", rep.GMeanSpeedupSMT, guard)
 		}
 	}
 	return nil

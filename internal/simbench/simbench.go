@@ -1,8 +1,9 @@
 // Package simbench measures raw single-run simulator throughput: host
 // instructions-per-second for one bandit-controlled prefetching run over
-// a set of catalog apps chosen for their dominant access pattern. It is
-// the measurement behind `mab-report -simbench` and the recorded
-// BENCH_sim.json artifact.
+// a set of catalog apps chosen for their dominant access pattern, and
+// committed uops per second for one bandit-controlled SMT run per
+// smoke-preset tune mix. It is the measurement behind `mab-report
+// -simbench` and the recorded BENCH_sim.json artifact.
 //
 // Unlike the experiment benchmarks (which time whole Fig/Table
 // pipelines), simbench isolates the per-instruction substrate cost —
@@ -11,11 +12,11 @@
 // regressions show up directly instead of being averaged into
 // experiment wall-clock.
 //
-// Each result also records the run's simulated IPC. Throughput numbers
-// are hardware-dependent, but the IPC is deterministic: a
-// mechanical-speed change must reproduce it bit-for-bit, so a drifting
-// IPC in a re-recorded BENCH_sim.json flags a behavioral change, not a
-// faster simulator.
+// Each result also records the run's simulated IPC (the bits of the
+// summed thread IPC on SMT). Throughput numbers are hardware-dependent,
+// but the IPC is deterministic: a mechanical-speed change must reproduce
+// it bit-for-bit, so a drifting IPC in a re-recorded BENCH_sim.json flags
+// a behavioral change, not a faster simulator.
 package simbench
 
 import (
@@ -28,8 +29,11 @@ import (
 
 	"microbandit/internal/core"
 	"microbandit/internal/cpu"
+	"microbandit/internal/harness"
 	"microbandit/internal/mem"
 	"microbandit/internal/prefetch"
+	"microbandit/internal/simsmt"
+	"microbandit/internal/smtwork"
 	"microbandit/internal/trace"
 )
 
@@ -91,16 +95,38 @@ type Result struct {
 	SpeedupMemo         float64 `json:"speedup_memo,omitempty"`
 }
 
+// SMTResult is one SMT mix's measurement.
+type SMTResult struct {
+	// Name is the mix, "a-b".
+	Name   string `json:"name"`
+	Cycles int64  `json:"cycles"`
+	// Committed counts the uops both threads committed.
+	Committed int64 `json:"committed"`
+	// Seconds is the fastest timed run; UopsPerSec is Committed over it.
+	Seconds    float64 `json:"seconds"`
+	UopsPerSec float64 `json:"uops_per_sec"`
+	// SumIPCBits is math.Float64bits of the summed thread IPC, in hex —
+	// the determinism anchor.
+	SumIPCBits string `json:"sum_ipc_bits"`
+
+	// BaselineUopsPerSec and Speedup are filled by Merge when a baseline
+	// report is supplied.
+	BaselineUopsPerSec float64 `json:"baseline_uops_per_sec,omitempty"`
+	Speedup            float64 `json:"speedup,omitempty"`
+}
+
 // Report is the BENCH_sim.json schema.
 type Report struct {
-	GOOS             string   `json:"goos"`
-	GOARCH           string   `json:"goarch"`
-	CPUs             int      `json:"cpus"`
-	InstsPerRun      int64    `json:"insts_per_run"`
-	Seed             uint64   `json:"seed"`
-	Workloads        []Result `json:"workloads"`
-	GMeanSpeedup     float64  `json:"gmean_speedup,omitempty"`
-	GMeanSpeedupMemo float64  `json:"gmean_speedup_memo,omitempty"`
+	GOOS             string      `json:"goos"`
+	GOARCH           string      `json:"goarch"`
+	CPUs             int         `json:"cpus"`
+	InstsPerRun      int64       `json:"insts_per_run"`
+	Seed             uint64      `json:"seed"`
+	Workloads        []Result    `json:"workloads"`
+	GMeanSpeedup     float64     `json:"gmean_speedup,omitempty"`
+	GMeanSpeedupMemo float64     `json:"gmean_speedup_memo,omitempty"`
+	SMT              []SMTResult `json:"smt,omitempty"`
+	GMeanSpeedupSMT  float64     `json:"gmean_speedup_smt,omitempty"`
 }
 
 // newRunner builds the measured configuration: the paper's
@@ -120,10 +146,10 @@ func newRunner(gen trace.Generator, seed uint64) *cpu.Runner {
 	return cpu.NewRunner(c, ens, ctrl, ens)
 }
 
-// Run measures every workload for insts instructions each and returns
-// the report. A short untimed warmup run precedes each measurement so
-// one-time setup (table growth to the steady-state high-water mark)
-// stays out of the timed region.
+// Run measures every prefetch workload for insts instructions each, then
+// every SMT mix, and returns the report. A short untimed warmup run
+// precedes each prefetch measurement so one-time setup (table growth to
+// the steady-state high-water mark) stays out of the timed region.
 func Run(insts int64, seed uint64) Report {
 	if insts <= 0 {
 		insts = DefaultInsts
@@ -194,7 +220,55 @@ func Run(insts int64, seed uint64) Report {
 		}
 		rep.Workloads = append(rep.Workloads, res)
 	}
+	rep.SMT = runSMT(seed)
 	return rep
+}
+
+// smtTimedRuns is how many timed runs each SMT row takes the fastest of.
+// One run lasts tens of milliseconds, short enough that a single sample
+// on a shared host swings by a third.
+const smtTimedRuns = 3
+
+// runSMT measures the smoke preset's SMT job shape on each of its tune
+// mixes: the DUCB runner over the Table 1 arms with Hill Climbing. An
+// untimed run precedes the timed ones, each from a fresh pipeline, and
+// every run must reproduce the first one's summed IPC bit for bit.
+func runSMT(seed uint64) []SMTResult {
+	o := harness.Smoke()
+	all := smtwork.TuneMixes()
+	run := func(mix smtwork.Mix) (*simsmt.SMT, float64) {
+		sim := simsmt.NewSim(mix.A, mix.B, seed)
+		r := simsmt.NewRunner(sim, simsmt.NewBanditAgent(seed), simsmt.Table1Arms(), true)
+		r.EpochLen, r.RREpochs, r.MainEpochs = o.EpochLen, o.RREpochs, o.MainEpochs
+		t0 := time.Now()
+		r.RunCycles(o.SMTCycles)
+		return sim, time.Since(t0).Seconds()
+	}
+	var out []SMTResult
+	for i := 0; i < o.MaxMixes; i++ {
+		mix := all[i*len(all)/o.MaxMixes]
+		first, _ := run(mix)
+		res := SMTResult{
+			Name:       mix.Name(),
+			Cycles:     first.Cycle(),
+			Committed:  first.Committed(0) + first.Committed(1),
+			Seconds:    math.Inf(1),
+			SumIPCBits: fmt.Sprintf("%#016x", math.Float64bits(first.SumIPC())),
+		}
+		for k := 0; k < smtTimedRuns; k++ {
+			sim, secs := run(mix)
+			if math.Float64bits(sim.SumIPC()) != math.Float64bits(first.SumIPC()) {
+				panic(fmt.Sprintf("simbench: %s SMT rerun SumIPC %v != first run %v — determinism violation",
+					mix.Name(), sim.SumIPC(), first.SumIPC()))
+			}
+			res.Seconds = min(res.Seconds, secs)
+		}
+		if res.Seconds > 0 {
+			res.UopsPerSec = float64(res.Committed) / res.Seconds
+		}
+		out = append(out, res)
+	}
+	return out
 }
 
 // populate pulls n instructions through a cache-backed source so the
@@ -209,8 +283,9 @@ func populate(gen trace.Generator, n int64) {
 }
 
 // Merge fills each result's baseline throughput and speedup from a
-// previously recorded report (matched by workload name) and computes the
-// geometric-mean speedup over the workloads present in both.
+// previously recorded report (matched by workload or mix name) and
+// computes the geometric-mean speedups over the rows present in both,
+// the SMT rows apart from the prefetch rows.
 func Merge(cur Report, baseline Report) Report {
 	base := make(map[string]Result, len(baseline.Workloads))
 	for _, r := range baseline.Workloads {
@@ -239,6 +314,25 @@ func Merge(cur Report, baseline Report) Report {
 	}
 	if nMemo > 0 {
 		cur.GMeanSpeedupMemo = math.Exp(logSumMemo / float64(nMemo))
+	}
+	baseSMT := make(map[string]SMTResult, len(baseline.SMT))
+	for _, r := range baseline.SMT {
+		baseSMT[r.Name] = r
+	}
+	logSum, n = 0, 0
+	for i := range cur.SMT {
+		r := &cur.SMT[i]
+		b, ok := baseSMT[r.Name]
+		if !ok || b.UopsPerSec <= 0 || r.UopsPerSec <= 0 {
+			continue
+		}
+		r.BaselineUopsPerSec = b.UopsPerSec
+		r.Speedup = r.UopsPerSec / b.UopsPerSec
+		logSum += math.Log(r.Speedup)
+		n++
+	}
+	if n > 0 {
+		cur.GMeanSpeedupSMT = math.Exp(logSum / float64(n))
 	}
 	return cur
 }

@@ -39,7 +39,8 @@ func goldenLine(name string, sim *SMT) string {
 // Hill Climbing, two Table 1 arms as fixed policies, the DUCB bandit
 // runner and ARPA, plus one run on a small, non-power-of-two
 // configuration whose dependence window is shorter than many dependence
-// distances, so ring wrap-around is pinned as well.
+// distances, so ring wrap-around is pinned as well, and one pointer-chase
+// run that grows the release ring.
 func goldenRuns(t *testing.T) []string {
 	t.Helper()
 	mixes := [][2]string{{"gcc", "lbm"}, {"mcf", "xalancbmk"}}
@@ -75,6 +76,21 @@ func goldenRuns(t *testing.T) []string {
 	r.EpochLen = goldenEpoch
 	r.RunCycles(goldenCycles)
 	out = append(out, goldenLine("mcf-lbm smallcfg", sim))
+
+	// A pointer chase whose every load misses to a slow memory: each
+	// load starts when its predecessor completes, thousands of cycles
+	// ahead, so IQ releases land beyond the initial release ring.
+	chase := smtwork.Profile{Name: "chase", LoadFrac: 0.3, MemLat: 3000, LoadChainProb: 1,
+		DepProb: 0.5, DepDistMean: 4}
+	sim = New(DefaultConfig(), smtwork.NewGen(chase, 5), smtwork.NewGen(mustProfile(t, "gcc"), 6))
+	r = NewFixedRunner(sim, ChoiPolicy, true)
+	r.EpochLen = goldenEpoch
+	r.RunCycles(goldenCycles)
+	out = append(out, goldenLine("chase-gcc ringgrowth", sim))
+	if len(sim.releases) <= releaseRingLen {
+		t.Errorf("chase-gcc: release ring stayed at %d slots, want growth past %d",
+			len(sim.releases), releaseRingLen)
+	}
 	return out
 }
 

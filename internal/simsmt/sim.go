@@ -92,57 +92,21 @@ type thread struct {
 	committed int64
 }
 
-// release events (IQ frees at issue; SQ frees at drain).
-type release struct {
-	cycle  int64
-	thread int
-	what   uint8 // 0 = IQ, 1 = SQ
+// releaseSlot counts the entries each thread frees in one cycle: IQ
+// entries when a uop starts executing, SQ entries when a store drains.
+// Releases commute, so a count per cycle is all the pipeline needs.
+type releaseSlot struct {
+	iq, sq [2]uint16
 }
 
-// releaseHeap is a binary min-heap of releases ordered by cycle. Ties
-// need no order: every release due by the current cycle is applied in
-// that cycle, and each one only decrements a counter.
-type releaseHeap []release
+// releaseRingLen is the release ring's starting length, a power of two.
+// A release further ahead, such as the end of a chain of slow loads,
+// doubles the ring.
+const releaseRingLen = 1024
 
-func (h *releaseHeap) push(r release) {
-	q := append(*h, r)
-	j := len(q) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if q[i].cycle <= q[j].cycle {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-	*h = q
-}
-
-// pop removes and returns the earliest release; the heap must be
-// non-empty.
-func (h *releaseHeap) pop() release {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && q[r].cycle < q[j].cycle {
-			j = r
-		}
-		if q[i].cycle <= q[j].cycle {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	*h = q
-	return top
-}
+// maxSlotCount bounds IQSize and SQSize: a slot's count never exceeds the
+// entries a thread holds, and must fit a uint16.
+const maxSlotCount = 1<<16 - 1
 
 // SMT is the 2-way SMT pipeline.
 type SMT struct {
@@ -151,8 +115,10 @@ type SMT struct {
 	policy  Policy
 	share   [2]float64 // per-thread structure share (Hill Climbing output)
 
-	cycle    int64
-	releases releaseHeap
+	cycle int64
+	// releases is a ring of per-cycle release counts: slot c&(len-1)
+	// holds cycle c, for cycles s.cycle+1 through s.cycle+len.
+	releases []releaseSlot
 	rename   RenameStats
 	rrNext   int // round-robin fetch pointer
 	commitRR int // alternating commit precedence
@@ -171,10 +137,11 @@ func New(cfg Config, genA, genB *smtwork.Gen) *SMT {
 		panic(fmt.Sprintf("simsmt: FetchQCap, DepWindow, ROBSize and IQSize must be positive (got %d, %d, %d, %d)",
 			cfg.FetchQCap, cfg.DepWindow, cfg.ROBSize, cfg.IQSize))
 	}
-	// Pending releases never exceed the IQ entries plus the SQ entries
-	// held, so the heap never grows past this capacity.
-	s := &SMT{cfg: cfg, policy: ChoiPolicy,
-		releases: make(releaseHeap, 0, cfg.IQSize+max(cfg.SQSize, 0))}
+	if cfg.IQSize > maxSlotCount || cfg.SQSize > maxSlotCount {
+		panic(fmt.Sprintf("simsmt: IQSize and SQSize must not exceed %d (got %d, %d)",
+			maxSlotCount, cfg.IQSize, cfg.SQSize))
+	}
+	s := &SMT{cfg: cfg, policy: ChoiPolicy, releases: make([]releaseSlot, releaseRingLen)}
 	s.share = [2]float64{0.5, 0.5}
 	for i, g := range []*smtwork.Gen{genA, genB} {
 		s.threads[i] = &thread{
@@ -253,16 +220,14 @@ func (s *SMT) stepCycle() {
 	for i, t := range s.threads {
 		s.occAccum[i] += int64(t.robCount + t.iq + t.lq + t.sq)
 	}
-	// Apply scheduled structure releases.
-	for len(s.releases) > 0 && s.releases[0].cycle <= s.cycle {
-		r := s.releases.pop()
-		t := s.threads[r.thread]
-		if r.what == 0 {
-			t.iq--
-		} else {
-			t.sq--
-		}
+	// Apply this cycle's structure releases and free its slot for cycle
+	// s.cycle+len.
+	r := &s.releases[s.cycle&int64(len(s.releases)-1)]
+	for i, t := range s.threads {
+		t.iq -= int(r.iq[i])
+		t.sq -= int(r.sq[i])
 	}
+	*r = releaseSlot{}
 	s.commit()
 	s.renameStage()
 	s.fetch()
@@ -289,7 +254,7 @@ func (s *SMT) commit() {
 				if drain <= s.cycle {
 					t.sq--
 				} else {
-					s.releases.push(release{cycle: drain, thread: ti, what: 1})
+					s.releaseAt(drain).sq[ti]++
 				}
 			case smtwork.UopBranch:
 				t.branches--
@@ -308,6 +273,29 @@ func (s *SMT) commit() {
 			t.committed++
 			budget--
 		}
+	}
+}
+
+// releaseAt returns the release slot of cycle c, which must lie after the
+// current cycle, growing the ring while c is beyond its reach.
+func (s *SMT) releaseAt(c int64) *releaseSlot {
+	for c-s.cycle > int64(len(s.releases)) {
+		s.growReleases()
+	}
+	return &s.releases[c&int64(len(s.releases)-1)]
+}
+
+// growReleases doubles the release ring, moving each pending cycle's
+// counts to its slot in the new ring. It stays out of line so that
+// releaseAt inlines into the cycle loop.
+//
+//go:noinline
+func (s *SMT) growReleases() {
+	old := s.releases
+	n := int64(2 * len(old))
+	s.releases = make([]releaseSlot, n)
+	for c := s.cycle + 1; c <= s.cycle+int64(len(old)); c++ {
+		s.releases[c&(n-1)] = old[c&int64(len(old)-1)]
 	}
 }
 
@@ -429,7 +417,7 @@ func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 
 	// IQ entry held from rename until the uop starts executing.
 	t.iq++
-	s.releases.push(release{cycle: start, thread: ti, what: 0})
+	s.releaseAt(start).iq[ti]++
 
 	e := robEntry{complete: complete, kind: u.Kind}
 	switch u.Kind {

@@ -275,6 +275,8 @@ func TestNewPanicsOnBadWidths(t *testing.T) {
 		"ROBSize":         func(c *Config) { c.ROBSize = -4 },
 		"IQSize":          func(c *Config) { c.IQSize = 0 },
 		"negative window": func(c *Config) { c.DepWindow = -1 },
+		"IQSize > uint16": func(c *Config) { c.IQSize = 1 << 16 },
+		"SQSize > uint16": func(c *Config) { c.SQSize = 1 << 16 },
 	}
 	for name, mutate := range bad {
 		t.Run(name, func(t *testing.T) {
@@ -292,8 +294,9 @@ func TestNewPanicsOnBadWidths(t *testing.T) {
 }
 
 // TestRunCyclesZeroAlloc pins the zero-allocation property of the cycle
-// loop: the release heap, the fetch ring and the ROB and dependence rings
-// are all sized in New.
+// loop: the fetch ring and the ROB and dependence rings are sized in New,
+// and the release ring allocates only when a release lands beyond its
+// reach, which the warm-up covers.
 func TestRunCyclesZeroAlloc(t *testing.T) {
 	sim := NewSim(mustProfile(t, "gcc"), mustProfile(t, "lbm"), 1)
 	sim.RunCycles(200_000) // warm-up: reach the structures' high-water marks

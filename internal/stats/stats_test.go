@@ -61,27 +61,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestMedianPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Errorf("P50 = %v, want 3", got)
-	}
-	// Input must not be modified.
-	if xs[0] != 5 {
-		t.Error("Percentile modified input")
-	}
-	even := []float64{1, 2, 3, 4}
-	if got := Percentile(even, 50); got != 2.5 {
-		t.Errorf("even P50 = %v, want 2.5", got)
-	}
-	if got := Percentile(even, 0); got != 1 {
-		t.Errorf("P0 = %v", got)
-	}
-	if got := Percentile(even, 100); got != 4 {
-		t.Errorf("P100 = %v", got)
-	}
-}
-
 func TestRatiosNormalize(t *testing.T) {
 	r := Ratios([]float64{2, 9}, []float64{4, 3})
 	if r[0] != 0.5 || r[1] != 3 {

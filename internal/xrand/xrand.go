@@ -131,16 +131,6 @@ func (r *Rand) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Geometric returns a sample from the geometric distribution with success
 // probability p: the number of failures before the first success. For
 // p >= 1 it returns 0; p <= 0 panics (the distribution is undefined).

@@ -123,22 +123,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(13)
-	const draws = 200000
-	sum := 0.0
-	for i := 0; i < draws; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64() = %v < 0", v)
-		}
-		sum += v
-	}
-	if mean := sum / draws; math.Abs(mean-1) > 0.05 {
-		t.Errorf("exp mean = %v, want ~1", mean)
-	}
-}
-
 func TestGeometric(t *testing.T) {
 	r := New(19)
 	if got := r.Geometric(1); got != 0 {
