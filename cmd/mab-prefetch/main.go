@@ -1,8 +1,8 @@
 // Command mab-prefetch runs prefetching simulations: one or more
-// applications from the synthetic catalog under one prefetcher
-// configuration, printing IPC plus hierarchy statistics. It is the
-// interactive probe for the prefetching use case (the batch experiments
-// live in mab-report).
+// applications from the synthetic catalog, or recorded trace files,
+// under one prefetcher configuration, printing IPC plus hierarchy
+// statistics. It is the interactive probe for the prefetching use case
+// (the batch experiments live in mab-report).
 //
 // Usage:
 //
@@ -12,11 +12,19 @@
 //	             [-telemetry out.jsonl] [-telemetry-every 100]
 //	mab-prefetch -app lbm17,mcf06,bfs -j 4
 //	mab-prefetch -app all -j 0
+//	mab-prefetch -app lbm17.mbt,mcf06 -pf stride
 //
 // With a comma-separated -app list (or "all"), the simulations fan out
 // across -j worker goroutines and the reports print in input order. A
 // failing app is reported on stderr without taking down its siblings.
 // Bad flag values exit 2 with the valid choices.
+//
+// An -app entry ending in .mbt is a trace file written by mab-trace
+// record. It is read once, before any simulation starts, and reported
+// under the name stored in the file. The paper's platform replays
+// recorded traces the same way (§6.1): a trace shorter than -insts loops
+// until the budget is met (§6.2). -seed still seeds the prefetchers, the
+// agent and any faults; a recording has one instruction stream.
 package main
 
 import (
@@ -54,7 +62,7 @@ type runConfig struct {
 }
 
 func main() {
-	appNames := flag.String("app", "lbm17", "application(s): a catalog name, a comma-separated list, or \"all\"")
+	appNames := flag.String("app", "lbm17", "application(s): a catalog name or .mbt trace file, a comma-separated list, or \"all\"")
 	pfName := flag.String("pf", "bandit", "prefetcher: "+strings.Join(prefetch.Names(), ", "))
 	algo := flag.String("algo", "ducb", "bandit algorithm: "+strings.Join(core.AlgoNames(), ", "))
 	insts := flag.Int64("insts", 4_000_000, "instructions to simulate")
@@ -104,17 +112,9 @@ func main() {
 		usageErr(fmt.Errorf("-faults: %v", err))
 	}
 
-	var apps []trace.App
-	if *appNames == "all" {
-		apps = trace.Catalog()
-	} else {
-		for _, name := range strings.Split(*appNames, ",") {
-			app, err := trace.ByName(strings.TrimSpace(name))
-			if err != nil {
-				usageErr(fmt.Errorf("%v (valid: %s, or \"all\")", err, catalogNames()))
-			}
-			apps = append(apps, app)
-		}
+	apps, err := parseApps(*appNames)
+	if err != nil {
+		usageErr(err)
 	}
 
 	memCfg := mem.DefaultConfig()
@@ -156,7 +156,7 @@ func main() {
 	for i, app := range apps {
 		jobs[i] = jobIn{i, app}
 	}
-	reports, errs := par.RunCtx(ctx, par.CtxOpts{Workers: *workers}, jobs, func(ctx context.Context, j jobIn) (string, error) {
+	reports, errs := par.RunCtx(ctx, *workers, jobs, func(ctx context.Context, j jobIn) (string, error) {
 		var rec obs.Recorder
 		if collector != nil {
 			rec = collector.Slot(j.i, j.app.Name)
@@ -191,6 +191,59 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mab-prefetch: %d of %d runs failed; results above are partial\n", failed, len(apps))
 		os.Exit(1)
 	}
+}
+
+// parseApps resolves the -app list: "all", or comma-separated catalog
+// names and .mbt trace files. Trace files are read here, so a missing,
+// malformed or empty one is a flag error naming its path.
+func parseApps(list string) ([]trace.App, error) {
+	if list == "all" {
+		return trace.Catalog(), nil
+	}
+	var apps []trace.App
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if strings.HasSuffix(name, ".mbt") {
+			app, err := loadTrace(name)
+			if err != nil {
+				return nil, err
+			}
+			apps = append(apps, app)
+			continue
+		}
+		app, err := trace.ByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("%v (valid: %s, \"all\", or a .mbt trace file)", err, catalogNames())
+		}
+		apps = append(apps, app)
+	}
+	return apps, nil
+}
+
+// loadTrace reads a recorded trace file into an app whose generators
+// each loop over the shared instructions (§6.2). Loop only reads the
+// slice, so concurrent jobs can share it.
+func loadTrace(path string) (trace.App, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return trace.App{}, err
+	}
+	defer f.Close()
+	r, err := trace.NewReader(f)
+	if err != nil {
+		return trace.App{}, fmt.Errorf("%s: %w", path, err)
+	}
+	insts, err := r.ReadAll()
+	if err != nil {
+		return trace.App{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(insts) == 0 {
+		return trace.App{}, fmt.Errorf("%s: empty trace", path)
+	}
+	name := r.TraceName()
+	return trace.App{Name: name, New: func(uint64) trace.Generator {
+		return trace.NewLoop(name, insts)
+	}}, nil
 }
 
 // simulate runs one app and returns its formatted report. dryRun only

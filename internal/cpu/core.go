@@ -130,15 +130,14 @@ func (c *Core) Gen() trace.Generator { return c.gen }
 
 // Phase reports the program phase governing the instruction the model is
 // executing (the context-signature input). For phase-structured traces
-// it is a pure function of the stream position, so it stays correct —
-// and identical to the scalar path's mid-instruction generator probe —
-// while chunked generation runs ahead.
+// (trace.PhaseAtter) it is a pure function of the stream position, so it
+// stays correct — and identical to the scalar path's mid-instruction
+// generator probe — while chunked generation runs ahead. Any other
+// generator reports phase 0: a generator's own mutable phase state may
+// describe an instruction up to a chunk ahead of the one being simulated.
 func (c *Core) Phase() int {
 	if pa, ok := c.gen.(trace.PhaseAtter); ok {
 		return pa.PhaseAt(c.phaseN)
-	}
-	if pg, ok := c.gen.(interface{ Phase() int }); ok {
-		return pg.Phase()
 	}
 	return 0
 }

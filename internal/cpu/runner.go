@@ -83,13 +83,6 @@ type Runner struct {
 	Obs      obs.Recorder
 	ObsEvery int
 
-	// ObsSimCounters additionally emits simulator-effectiveness fields on
-	// each interval: the chunk-cache hit rate (when the trace source is
-	// cache-backed) and the fast-forward coverage. Off by default so
-	// recorded telemetry streams stay byte-identical with builds that
-	// predate the fields; the bench matrix turns it on.
-	ObsSimCounters bool
-
 	obsSteps int64 // completed telemetry windows
 	obsLast  obsBaseline
 
@@ -106,11 +99,6 @@ type obsBaseline struct {
 	stats         mem.Stats
 	class         mem.Classification
 	busy          float64
-
-	// Simulator-effectiveness counters (only consumed when
-	// ObsSimCounters is set).
-	ff                     int64
-	cacheHits, cacheMisses int64
 }
 
 // ArmSample is one entry of the exploration trace (Fig. 7).
@@ -339,10 +327,6 @@ func (r *Runner) obsWindow(cycle int64) {
 		class:  r.Hier.Classify(),
 		busy:   r.Hier.DRAM().BusyCycles(),
 	}
-	if r.ObsSimCounters {
-		cur.ff = r.Core.FFInsts()
-		cur.cacheHits, cur.cacheMisses = r.Core.ChunkCacheStats()
-	}
 	last := r.obsLast
 	r.obsLast = cur
 
@@ -368,12 +352,5 @@ func (r *Runner) obsWindow(cycle int64) {
 		Set(obs.FieldPrefAccuracy, ratio(dTimely+dLate, dTimely+dLate+dWrong)).
 		Set(obs.FieldPrefCoverage, ratio(dTimely, dTimely+dMisses)).
 		Set(obs.FieldDRAMBWUtil, bwUtil)
-	if r.ObsSimCounters {
-		dHits := float64(cur.cacheHits - last.cacheHits)
-		dMiss := float64(cur.cacheMisses - last.cacheMisses)
-		fields.
-			Set(obs.FieldChunkHitRate, ratio(dHits, dHits+dMiss)).
-			Set(obs.FieldFFCoverage, ratio(float64(cur.ff-last.ff), dInsts))
-	}
 	r.Obs.Record(obs.Event{Kind: obs.KindInterval, Step: r.obsSteps, Cycle: cycle, Fields: fields})
 }

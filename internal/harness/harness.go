@@ -190,21 +190,12 @@ func (o Options) workers() int {
 // always run to completion, so experiments degrade to partial results
 // instead of taking the whole engine down.
 func runJobs[J, R any](o Options, jobs []J, fn func(J) R) []R {
-	var results []R
-	var errs []error
-	if o.Ctx != nil {
-		// Cancellable engine: once Ctx is done, running jobs finish early
-		// (their simulators observe the same context) and unstarted jobs
-		// come back as cancellation errors instead of running.
-		results, errs = par.RunCtx(o.Ctx, par.CtxOpts{Workers: o.workers()}, jobs,
-			func(_ context.Context, j J) (R, error) {
-				return fn(j), nil
-			})
-	} else {
-		results, errs = par.RunErr(o.workers(), jobs, func(j J) (R, error) {
-			return fn(j), nil
-		})
-	}
+	// Once Ctx is done, running jobs finish early (their simulators
+	// observe the same context) and unstarted jobs come back as
+	// cancellation errors instead of running.
+	results, errs := par.RunCtx(o.ctx(), o.workers(), jobs, func(_ context.Context, j J) (R, error) {
+		return fn(j), nil
+	})
 	for _, err := range errs {
 		if err == nil {
 			continue

@@ -14,9 +14,7 @@ type FieldKey uint8
 // Field keys, in the alphabetical order of their wire names (the order
 // encoding/json gives sorted map keys, which the JSONL codec preserves).
 const (
-	FieldChunkHitRate FieldKey = iota // chunk_hit_rate
-	FieldDRAMBWUtil                   // dram_bw_util
-	FieldFFCoverage                   // ff_coverage
+	FieldDRAMBWUtil   FieldKey = iota // dram_bw_util
 	FieldIPC                          // ipc
 	FieldIPC0                         // ipc0
 	FieldIPC1                         // ipc1
@@ -30,9 +28,7 @@ const (
 
 // fieldNames are the wire names, indexed by FieldKey.
 var fieldNames = [numFieldKeys]string{
-	"chunk_hit_rate",
 	"dram_bw_util",
-	"ff_coverage",
 	"ipc",
 	"ipc0",
 	"ipc1",

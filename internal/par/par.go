@@ -16,7 +16,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultWorkers returns the default pool size: one worker per usable CPU.
@@ -79,15 +78,15 @@ func Do(workers int, tasks []func()) {
 }
 
 // ---------------------------------------------------------------------
-// Hardened variants: per-job errors, panic recovery, timeout, retry.
+// Hardened variant: per-job errors, panic recovery, cancellation.
 //
 // Run is the fast path for jobs that cannot fail; a panicking job there
 // crashes the process from whichever goroutine hit it, with no job
-// attribution. The experiment harness and the CLIs use RunErr/RunCtx
-// instead: a failing or panicking job becomes a *JobError carrying the
-// job index and the original error or panic value, the other jobs keep
-// running, and the caller renders partial results plus an error appendix
-// rather than a bare goroutine trace.
+// attribution. The experiment harness and the CLIs use RunCtx instead: a
+// failing or panicking job becomes a *JobError carrying the job index and
+// the original error or panic value, the other jobs keep running, and the
+// caller renders partial results plus an error appendix rather than a
+// bare goroutine trace.
 
 // PanicError is a recovered job panic: the original panic value plus the
 // goroutine stack captured at recovery time.
@@ -99,153 +98,60 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// JobError attributes a failure to one job of a RunErr/RunCtx batch.
+// JobError attributes a failure to one job of a RunCtx batch.
 type JobError struct {
 	// Index is the failing job's position in the input slice.
 	Index int
-	// Attempts is how many times the job was tried (> 1 under RunCtx
-	// retry).
-	Attempts int
-	// Err is the job's final error; a recovered panic is a *PanicError.
+	// Err is the job's error; a recovered panic is a *PanicError.
 	Err error
 }
 
 // Error implements error.
-func (e *JobError) Error() string {
-	if e.Attempts > 1 {
-		return fmt.Sprintf("job %d (after %d attempts): %v", e.Index, e.Attempts, e.Err)
-	}
-	return fmt.Sprintf("job %d: %v", e.Index, e.Err)
-}
+func (e *JobError) Error() string { return fmt.Sprintf("job %d: %v", e.Index, e.Err) }
 
 // Unwrap implements the errors.Unwrap protocol.
 func (e *JobError) Unwrap() error { return e.Err }
 
-// safeCall invokes fn, converting a panic into a *PanicError.
-func safeCall[J, R any](fn func(J) (R, error), j J) (r R, err error) {
+// safeCall invokes fn, converting a panic into a *PanicError. A job whose
+// ctx is already done does not start and fails with ctx's error.
+func safeCall[J, R any](ctx context.Context, fn func(context.Context, J) (R, error), j J) (r R, err error) {
+	if err := ctx.Err(); err != nil {
+		return r, err
+	}
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: debug.Stack()}
 		}
 	}()
-	return fn(j)
+	return fn(ctx, j)
 }
 
-// RunErr is Run for fallible jobs: it applies fn to every job on a pool
-// of at most workers goroutines and returns results and errors in input
-// order (errs[i] is nil iff jobs[i] succeeded; otherwise it is a
-// *JobError and results[i] is the zero value). A panicking fn is
+// RunCtx is Run for fallible, cancellable jobs: it applies fn to every
+// job on a pool of at most workers goroutines and returns results and
+// errors in input order (errs[i] is nil iff jobs[i] succeeded; otherwise
+// it is a *JobError and results[i] is the zero value). A panicking fn is
 // recovered on both the serial and pooled paths and reported as a
-// *JobError wrapping a *PanicError — no job can crash the process or
-// take down its siblings. The ordering and determinism contract of Run
-// is unchanged.
-func RunErr[J, R any](workers int, jobs []J, fn func(J) (R, error)) (results []R, errs []error) {
+// *JobError wrapping a *PanicError, so no job can crash the process or
+// take down its siblings. Running jobs receive ctx; once it is
+// cancelled, jobs that have not started fail fast with ctx's error. The
+// ordering and determinism contract of Run is unchanged.
+func RunCtx[J, R any](ctx context.Context, workers int, jobs []J, fn func(context.Context, J) (R, error)) (results []R, errs []error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
 	results = make([]R, len(jobs))
 	errs = make([]error, len(jobs))
-	Do(workers, makeThunks(jobs, func(i int, j J) {
-		r, err := safeCall(fn, j)
-		if err != nil {
-			errs[i] = &JobError{Index: i, Attempts: 1, Err: err}
-			return
-		}
-		results[i] = r
-	}))
-	return results, errs
-}
-
-// makeThunks adapts an indexed body to Do's task list.
-func makeThunks[J any](jobs []J, body func(i int, j J)) []func() {
 	tasks := make([]func(), len(jobs))
 	for i := range jobs {
-		i, j := i, jobs[i]
-		tasks[i] = func() { body(i, j) }
-	}
-	return tasks
-}
-
-// CtxOpts configures RunCtx.
-type CtxOpts struct {
-	// Workers bounds the pool as in Run (<= 0 selects DefaultWorkers).
-	Workers int
-	// Timeout, when positive, bounds each job attempt. A timed-out
-	// attempt counts as a failure; its goroutine is abandoned (fn should
-	// honor ctx where it can) and its result discarded.
-	Timeout time.Duration
-	// Retries is how many additional attempts a failing job gets.
-	// Timeouts are retried; cancellation of the parent context is not.
-	Retries int
-}
-
-// RunCtx is RunErr with cancellation, per-job timeouts, and bounded
-// retry for transiently failing jobs. Results and errors come back in
-// input order. Once ctx is cancelled, running attempts are given ctx via
-// their callback, and jobs that have not started fail fast with ctx's
-// error.
-func RunCtx[J, R any](ctx context.Context, opt CtxOpts, jobs []J, fn func(context.Context, J) (R, error)) (results []R, errs []error) {
-	if len(jobs) == 0 {
-		return nil, nil
-	}
-	results = make([]R, len(jobs))
-	errs = make([]error, len(jobs))
-	Do(opt.Workers, makeThunks(jobs, func(i int, j J) {
-		var err error
-		attempt := 0
-		for {
-			if cerr := ctx.Err(); cerr != nil {
-				// Preserve the last real failure when one happened.
-				if err == nil {
-					err = cerr
-				}
-				errs[i] = &JobError{Index: i, Attempts: attempt, Err: err}
+		tasks[i] = func() {
+			r, err := safeCall(ctx, fn, jobs[i])
+			if err != nil {
+				errs[i] = &JobError{Index: i, Err: err}
 				return
 			}
-			attempt++
-			var r R
-			r, err = attemptCtx(ctx, opt.Timeout, j, fn)
-			if err == nil {
-				results[i] = r
-				return
-			}
-			if attempt > opt.Retries {
-				errs[i] = &JobError{Index: i, Attempts: attempt, Err: err}
-				return
-			}
+			results[i] = r
 		}
-	}))
+	}
+	Do(workers, tasks)
 	return results, errs
-}
-
-// attemptCtx runs one attempt of fn under the per-job timeout. Without a
-// timeout the call is direct (panic-safe); with one, the attempt runs on
-// its own goroutine so the worker can move on when the deadline passes —
-// the abandoned attempt's panic safety keeps it from crashing the
-// process when it eventually finishes.
-func attemptCtx[J, R any](ctx context.Context, timeout time.Duration, j J, fn func(context.Context, J) (R, error)) (R, error) {
-	call := func(jctx context.Context) (R, error) {
-		return safeCall(func(j J) (R, error) { return fn(jctx, j) }, j)
-	}
-	if timeout <= 0 {
-		return call(ctx)
-	}
-	jctx, cancel := context.WithTimeout(ctx, timeout)
-	type outcome struct {
-		r   R
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer cancel()
-		r, err := call(jctx)
-		ch <- outcome{r, err}
-	}()
-	select {
-	case out := <-ch:
-		return out.r, out.err
-	case <-jctx.Done():
-		var zero R
-		return zero, jctx.Err()
-	}
 }

@@ -13,7 +13,8 @@ import "context"
 // per-thread occupancy cap applied by the fetch-gating policy), so ARPA,
 // Choi, and the Bandit are compared on identical machinery. The paper
 // suggests Bandit could sit on top of ARPA exactly as it does on Hill
-// Climbing; ARPARunner therefore accepts an optional arm controller too.
+// Climbing; ARPARunner runs ARPA under one fixed fetch PG policy and
+// leaves that composition unimplemented.
 type ARPA struct {
 	// Smoothing is the EWMA factor applied to the efficiency-derived
 	// share (0 = jump immediately; 0.5 = halve the step).
@@ -58,9 +59,9 @@ func (a *ARPA) Reset() {
 	a.prevOcc = [2]int64{}
 }
 
-// ARPARunner drives the pipeline with ARPA partitioning, optionally under
-// a bandit arm controller selecting the fetch PG policy (the composition
-// §8 proposes).
+// ARPARunner drives the pipeline with ARPA partitioning under a fixed
+// fetch PG policy. It has no arm controller: the bandit-over-ARPA
+// composition §8 proposes is not modelled.
 type ARPARunner struct {
 	Sim  *SMT
 	ARPA *ARPA
