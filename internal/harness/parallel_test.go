@@ -5,10 +5,11 @@ import (
 )
 
 // The parallel engine's contract: any worker count produces the exact
-// bytes a serial run produces. These tests run the two experiments the
-// CI race job exercises most (one prefetch-side, one SMT-side) at
-// Workers=1 and Workers=8 on the Smoke preset and require identical
-// rendered output and identical CSV rows.
+// bytes a serial run produces. These tests run three experiments at
+// Workers=1 and Workers=8 on a trimmed Smoke preset and require identical
+// rendered output and identical CSV rows: table8 and table9 (bandit
+// algorithms against the best static arm, on the prefetch and the SMT
+// tune sets) and fig8 (the single-core prefetcher comparison).
 
 func smokeDeterminism() Options {
 	o := Smoke()
@@ -54,4 +55,11 @@ func TestFig8DeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("short mode")
 	}
 	assertWorkersInvariant(t, "fig8")
+}
+
+func TestTable9DeterministicAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	assertWorkersInvariant(t, "table9")
 }

@@ -35,47 +35,65 @@ func goldenLine(name string, sim *SMT) string {
 		rs.StallROB, rs.StallIQ, rs.StallLQ, rs.StallSQ, rs.StallRF, rs.Idle, rs.Running)
 }
 
-// goldenRuns simulates the pinned grid: two tune mixes under Choi with
+// goldenCase is one pinned configuration: its pipeline, the runner's
+// set-up before the first cycle, and one runner epoch. prime followed by
+// epochs until goldenCycles is what the runner's RunCycles(goldenCycles)
+// does.
+type goldenCase struct {
+	name  string
+	sim   *SMT
+	prime func()
+	epoch func()
+}
+
+// run simulates the case for goldenCycles.
+func (c goldenCase) run() {
+	c.prime()
+	for c.sim.Cycle() < goldenCycles {
+		c.epoch()
+	}
+}
+
+// fixedCase runs sim under a fixed policy with Hill Climbing.
+func fixedCase(name string, sim *SMT, pol Policy) goldenCase {
+	r := NewFixedRunner(sim, pol, true)
+	r.EpochLen = goldenEpoch
+	return goldenCase{name, sim, r.primeArm, r.runEpoch}
+}
+
+// goldenCases builds the pinned grid: two tune mixes under Choi with
 // Hill Climbing, two Table 1 arms as fixed policies, the DUCB bandit
 // runner and ARPA, plus one run on a small, non-power-of-two
 // configuration whose dependence window is shorter than many dependence
 // distances, so ring wrap-around is pinned as well, and one pointer-chase
 // run that grows the release ring.
-func goldenRuns(t *testing.T) []string {
+func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	mixes := [][2]string{{"gcc", "lbm"}, {"mcf", "xalancbmk"}}
-	var out []string
+	var cases []goldenCase
 	for _, m := range mixes {
 		a, b := mustProfile(t, m[0]), mustProfile(t, m[1])
 		mix := m[0] + "-" + m[1]
 		for _, pol := range []Policy{ChoiPolicy, mustPolicy("IC_0000"), mustPolicy("LSQC_1111")} {
-			sim := NewSim(a, b, 1)
-			r := NewFixedRunner(sim, pol, true)
-			r.EpochLen = goldenEpoch
-			r.RunCycles(goldenCycles)
-			out = append(out, goldenLine(mix+" "+pol.String(), sim))
+			cases = append(cases, fixedCase(mix+" "+pol.String(), NewSim(a, b, 1), pol))
 		}
 
 		sim := NewSim(a, b, 1)
 		r := NewRunner(sim, NewBanditAgent(1), Table1Arms(), true)
 		r.EpochLen, r.RREpochs, r.MainEpochs = goldenEpoch, 4, 2
-		r.RunCycles(goldenCycles)
-		out = append(out, goldenLine(mix+" DUCB", sim))
+		cases = append(cases, goldenCase{mix + " DUCB", sim, r.primeArm, r.runEpoch})
 
 		sim = NewSim(a, b, 1)
 		ar := NewARPARunner(sim, ChoiPolicy)
 		ar.EpochLen = goldenEpoch
-		ar.RunCycles(goldenCycles)
-		out = append(out, goldenLine(mix+" ARPA", sim))
+		cases = append(cases, goldenCase{mix + " ARPA", sim,
+			func() { ar.RunCycles(0) }, func() { ar.RunCycles(goldenEpoch) }})
 	}
 
 	cfg := DefaultConfig()
 	cfg.ROBSize, cfg.IQSize, cfg.FetchQCap, cfg.DepWindow = 61, 23, 5, 7
 	sim := New(cfg, smtwork.NewGen(mustProfile(t, "mcf"), 3), smtwork.NewGen(mustProfile(t, "lbm"), 4))
-	r := NewFixedRunner(sim, ChoiPolicy, true)
-	r.EpochLen = goldenEpoch
-	r.RunCycles(goldenCycles)
-	out = append(out, goldenLine("mcf-lbm smallcfg", sim))
+	cases = append(cases, fixedCase("mcf-lbm smallcfg", sim, ChoiPolicy))
 
 	// A pointer chase whose every load misses to a slow memory: each
 	// load starts when its predecessor completes, thousands of cycles
@@ -83,13 +101,20 @@ func goldenRuns(t *testing.T) []string {
 	chase := smtwork.Profile{Name: "chase", LoadFrac: 0.3, MemLat: 3000, LoadChainProb: 1,
 		DepProb: 0.5, DepDistMean: 4}
 	sim = New(DefaultConfig(), smtwork.NewGen(chase, 5), smtwork.NewGen(mustProfile(t, "gcc"), 6))
-	r = NewFixedRunner(sim, ChoiPolicy, true)
-	r.EpochLen = goldenEpoch
-	r.RunCycles(goldenCycles)
-	out = append(out, goldenLine("chase-gcc ringgrowth", sim))
-	if len(sim.releases) <= releaseRingLen {
-		t.Errorf("chase-gcc: release ring stayed at %d slots, want growth past %d",
-			len(sim.releases), releaseRingLen)
+	return append(cases, fixedCase("chase-gcc ringgrowth", sim, ChoiPolicy))
+}
+
+// goldenRuns simulates the pinned grid and renders one line per case.
+func goldenRuns(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	for _, c := range goldenCases(t) {
+		c.run()
+		out = append(out, goldenLine(c.name, c.sim))
+		if c.name == "chase-gcc ringgrowth" && len(c.sim.releases) <= releaseRingLen {
+			t.Errorf("chase-gcc: release ring stayed at %d slots, want growth past %d",
+				len(c.sim.releases), releaseRingLen)
+		}
 	}
 	return out
 }
@@ -125,6 +150,39 @@ func TestGolden(t *testing.T) {
 		}
 		if len(wl) > len(gl) {
 			t.Errorf("golden has %d lines, got %d", len(wl), len(gl))
+		}
+	}
+}
+
+// TestQuietSkipMatchesStepping checks the quiet-cycle skip against
+// stepping every cycle. Each golden case, plus a solo run, runs epoch by
+// epoch, one RunCycles(goldenEpoch) call each, beside a twin built the
+// same way that gets the same policy and share and steps the epoch with
+// goldenEpoch RunCycles(1) calls. After every epoch the two must agree
+// on the cycle, commits, occupancy integrals and rename accounting.
+func TestQuietSkipMatchesStepping(t *testing.T) {
+	soloCase := func() goldenCase {
+		p := mustProfile(t, "gcc")
+		sim := NewSim(p, p, 1)
+		sim.DisableThread(1)
+		sim.SetPolicy(ICountPolicy)
+		return goldenCase{"gcc solo", sim, func() {}, func() { sim.RunCycles(goldenEpoch) }}
+	}
+	cases := append(goldenCases(t), soloCase())
+	twins := append(goldenCases(t), soloCase())
+	for i, c := range cases {
+		twin := twins[i].sim
+		c.prime()
+		for c.sim.Cycle() < goldenCycles {
+			twin.SetPolicy(c.sim.Policy())
+			twin.SetShare(c.sim.Share())
+			for range goldenEpoch {
+				twin.RunCycles(1)
+			}
+			c.epoch()
+			if got, want := goldenLine(c.name, c.sim), goldenLine(c.name, twin); got != want {
+				t.Fatalf("after cycle %d:\n skipping %s\n stepping %s", twin.Cycle(), got, want)
+			}
 		}
 	}
 }

@@ -46,7 +46,7 @@ func checkInvariants(t *testing.T, sim *SMT) {
 	if irf > cfg.IRFSize || frf > cfg.FRFSize {
 		t.Fatalf("cycle %d: register files over capacity (%d/%d)", sim.Cycle(), irf, frf)
 	}
-	// IQ entries are released by heap events that may lag the current
+	// IQ entries are released by ring events that may lag the current
 	// cycle by design; occupancy must still never exceed capacity.
 	if iq > cfg.IQSize {
 		t.Fatalf("cycle %d: IQ over capacity (%d > %d)", sim.Cycle(), iq, cfg.IQSize)

@@ -128,15 +128,6 @@ func (r *Runner) RunCyclesCtx(ctx context.Context, n int64) error {
 	return ctx.Err()
 }
 
-// RunUntilCommitted simulates until both threads commit n uops (bounded
-// by maxCycles).
-func (r *Runner) RunUntilCommitted(n, maxCycles int64) {
-	r.primeArm()
-	for (r.Sim.Committed(0) < n || r.Sim.Committed(1) < n) && r.Sim.Cycle() < maxCycles {
-		r.runEpoch()
-	}
-}
-
 // primeArm applies the first bandit arm before simulation starts.
 func (r *Runner) primeArm() {
 	if r.Ctrl == nil || r.Sim.Cycle() > 0 {

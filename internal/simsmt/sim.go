@@ -2,6 +2,7 @@ package simsmt
 
 import (
 	"fmt"
+	"math"
 
 	"microbandit/internal/smtwork"
 )
@@ -57,13 +58,28 @@ type fetchedUop struct {
 	renameReady int64
 }
 
+// holds counts the entries a uop takes at rename, beyond its ROB and IQ
+// entries, and gives back at commit: an LQ or SQ entry, a branch (the
+// BrC metric) and an integer or FP rename register.
+type holds struct {
+	lq, sq, branches, intRegs, fpRegs uint8
+}
+
+// kindHolds is each uop kind's holds: ALU ops and loads write an integer
+// register, FP ops an FP register.
+var kindHolds = [...]holds{
+	smtwork.UopALU:    {intRegs: 1},
+	smtwork.UopFP:     {fpRegs: 1},
+	smtwork.UopLoad:   {lq: 1, intRegs: 1},
+	smtwork.UopStore:  {sq: 1},
+	smtwork.UopBranch: {branches: 1},
+}
+
 // robEntry is an in-flight uop awaiting in-order commit.
 type robEntry struct {
 	complete int64
-	drainAt  int64 // stores: when the SQ entry frees (0 otherwise)
-	kind     smtwork.UopKind
-	intReg   bool
-	fpReg    bool
+	drainAt  int64 // stores: when the SQ entry frees
+	holds
 }
 
 // thread is one hardware context.
@@ -108,12 +124,22 @@ const releaseRingLen = 1024
 // entries a thread holds, and must fit a uint16.
 const maxSlotCount = 1<<16 - 1
 
+// gateLimits holds the most entries of each gated structure a thread may
+// hold before fetch gates it: floor(share × size), or MaxInt when the
+// policy does not gate that structure. For an integer count x, x > y
+// holds exactly when x > floor(y), so comparing counts with these limits
+// decides as comparing them with share × size would.
+type gateLimits struct {
+	iq, lq, sq, rob, irf int
+}
+
 // SMT is the 2-way SMT pipeline.
 type SMT struct {
 	cfg     Config
 	threads [2]*thread
 	policy  Policy
 	share   [2]float64 // per-thread structure share (Hill Climbing output)
+	limits  [2]gateLimits
 
 	cycle int64
 	// releases is a ring of per-cycle release counts: slot c&(len-1)
@@ -143,6 +169,7 @@ func New(cfg Config, genA, genB *smtwork.Gen) *SMT {
 	}
 	s := &SMT{cfg: cfg, policy: ChoiPolicy, releases: make([]releaseSlot, releaseRingLen)}
 	s.share = [2]float64{0.5, 0.5}
+	s.setLimits()
 	for i, g := range []*smtwork.Gen{genA, genB} {
 		s.threads[i] = &thread{
 			gen:         g,
@@ -155,7 +182,10 @@ func New(cfg Config, genA, genB *smtwork.Gen) *SMT {
 }
 
 // SetPolicy switches the fetch PG policy.
-func (s *SMT) SetPolicy(p Policy) { s.policy = p }
+func (s *SMT) SetPolicy(p Policy) {
+	s.policy = p
+	s.setLimits()
+}
 
 // Policy returns the active fetch PG policy.
 func (s *SMT) Policy() Policy { return s.policy }
@@ -170,6 +200,29 @@ func (s *SMT) SetShare(share float64) {
 		share = 0.9
 	}
 	s.share = [2]float64{share, 1 - share}
+	s.setLimits()
+}
+
+// setLimits recomputes both threads' fetch-gate limits from the policy
+// and the shares. LQ and SQ gate separately: a thread hogging one of them
+// (lbm's store-queue appetite, §3.3) must trip the gate even when the
+// other queue is idle.
+func (s *SMT) setLimits() {
+	for ti := range s.limits {
+		limit := func(gate int, size int) int {
+			if !s.policy.Gate[gate] {
+				return math.MaxInt
+			}
+			return int(math.Floor(s.share[ti] * float64(size)))
+		}
+		s.limits[ti] = gateLimits{
+			iq:  limit(GateIQ, s.cfg.IQSize),
+			lq:  limit(GateLSQ, s.cfg.LQSize),
+			sq:  limit(GateLSQ, s.cfg.SQSize),
+			rob: limit(GateROB, s.cfg.ROBSize),
+			irf: limit(GateIRF, s.cfg.IRFSize),
+		}
+	}
 }
 
 // Share returns thread 0's structure share.
@@ -193,19 +246,17 @@ func (s *SMT) SumIPC() float64 {
 // RenameStats returns the Fig. 15 rename-stage accounting.
 func (s *SMT) RenameStats() RenameStats { return s.rename }
 
-// RunCycles advances the pipeline n cycles.
+// RunCycles advances the pipeline n cycles. After a quiet cycle, one
+// that changes no pipeline state, it skips to the cycle before the next
+// event and accounts the skipped cycles as stepping them would. A skip
+// never passes the end of the n cycles, so n calls of RunCycles(1) step
+// every cycle and give the same result.
 func (s *SMT) RunCycles(n int64) {
-	for i := int64(0); i < n; i++ {
-		s.stepCycle()
-	}
-}
-
-// RunUntilCommitted advances until both threads have committed at least n
-// uops (the paper's run-until-each-thread-completes methodology), with a
-// cycle cap to guard against pathological configurations.
-func (s *SMT) RunUntilCommitted(n int64, maxCycles int64) {
-	for (s.threads[0].committed < n || s.threads[1].committed < n) && s.cycle < maxCycles {
-		s.stepCycle()
+	end := s.cycle + n
+	for s.cycle < end {
+		if !s.stepCycle() {
+			s.skipQuiet(end)
+		}
 	}
 }
 
@@ -214,8 +265,11 @@ func (s *SMT) RunUntilCommitted(n int64, maxCycles int64) {
 // resource-usage efficiency.
 func (s *SMT) OccupancyIntegral(t int) int64 { return s.occAccum[t] }
 
-// stepCycle advances one cycle: releases, commit, rename, fetch.
-func (s *SMT) stepCycle() {
+// stepCycle advances one cycle: releases, commit, rename, fetch. It
+// reports whether the cycle changed pipeline state; a quiet cycle
+// changes only the cycle count, the occupancy integrals, the commit
+// precedence and the rename accounting.
+func (s *SMT) stepCycle() bool {
 	s.cycle++
 	for i, t := range s.threads {
 		s.occAccum[i] += int64(t.robCount + t.iq + t.lq + t.sq)
@@ -223,18 +277,87 @@ func (s *SMT) stepCycle() {
 	// Apply this cycle's structure releases and free its slot for cycle
 	// s.cycle+len.
 	r := &s.releases[s.cycle&int64(len(s.releases)-1)]
-	for i, t := range s.threads {
-		t.iq -= int(r.iq[i])
-		t.sq -= int(r.sq[i])
+	released := *r != releaseSlot{}
+	if released {
+		for i, t := range s.threads {
+			t.iq -= int(r.iq[i])
+			t.sq -= int(r.sq[i])
+		}
+		*r = releaseSlot{}
 	}
-	*r = releaseSlot{}
-	s.commit()
-	s.renameStage()
-	s.fetch()
+	committed := s.commit()
+	renamed := s.renameStage()
+	fetched := s.fetch()
+	return released || committed || renamed || fetched
 }
 
-// commit retires completed uops in order, alternating thread precedence.
-func (s *SMT) commit() {
+// skipQuiet follows a quiet cycle. Until the next event nothing can
+// change: no uop completes at the ROB head, no fetch-queue head becomes
+// ready to rename, no front-end redirect ends and no release is due, so
+// every cycle before it is quiet too. Gates and shares change only
+// between RunCycles calls, and the fetch pointer moves only when a
+// fetch happens. skipQuiet jumps to the cycle before that event, or to
+// end, and charges the skipped cycles what stepping would.
+func (s *SMT) skipQuiet(end int64) {
+	next := end + 1 // the first cycle that may not be quiet
+	for _, t := range s.threads {
+		if t.robCount > 0 {
+			next = min(next, t.rob[t.robHead].complete)
+		}
+		if t.qLen > 0 {
+			if r := t.fetchQ[t.qHead].renameReady; r > s.cycle {
+				next = min(next, r)
+			}
+		}
+		if t.blockedTill > s.cycle {
+			next = min(next, t.blockedTill)
+		}
+	}
+	// The ring holds every pending release, so one ring length of slots
+	// covers them all.
+	mask := int64(len(s.releases) - 1)
+	for c, last := s.cycle+1, min(next-1, s.cycle+mask+1); c <= last; c++ {
+		if s.releases[c&mask] != (releaseSlot{}) {
+			next = c
+			break
+		}
+	}
+	k := next - 1 - s.cycle
+	if k <= 0 {
+		return
+	}
+	for i, t := range s.threads {
+		s.occAccum[i] += k * int64(t.robCount+t.iq+t.lq+t.sq)
+	}
+	s.commitRR ^= int(k & 1)
+	// renameStage starts from thread cycle&1, so the rename accounting of
+	// the skipped cycles alternates between two classifications.
+	first := int(s.cycle+1) & 1
+	s.rename.charge(s.quietCause(first), (k+1)/2)
+	s.rename.charge(s.quietCause(first^1), k/2)
+	s.cycle += k
+}
+
+// quietCause is the rename classification of a quiet cycle whose rename
+// stage starts from thread first: the stall of the first thread whose
+// fetch-queue head is ready, since a ready head in a quiet cycle is
+// blocked, or stallNone, an idle cycle, when no head is ready.
+func (s *SMT) quietCause(first int) stallCause {
+	for k := 0; k < 2; k++ {
+		ti := first ^ k
+		t := s.threads[ti]
+		if t.qLen > 0 {
+			if f := &t.fetchQ[t.qHead]; f.renameReady <= s.cycle {
+				return s.resourceBlock(t, s.threads[ti^1], &f.uop)
+			}
+		}
+	}
+	return stallNone
+}
+
+// commit retires completed uops in order, alternating thread precedence,
+// and reports whether it retired any.
+func (s *SMT) commit() bool {
 	budget := s.cfg.CommitWidth
 	first := s.commitRR
 	s.commitRR ^= 1
@@ -246,24 +369,16 @@ func (s *SMT) commit() {
 			if e.complete > s.cycle {
 				break
 			}
-			switch e.kind {
-			case smtwork.UopLoad:
-				t.lq--
-			case smtwork.UopStore:
-				drain := e.drainAt
-				if drain <= s.cycle {
+			t.lq -= int(e.lq)
+			t.branches -= int(e.branches)
+			t.intRegs -= int(e.intRegs)
+			t.fpRegs -= int(e.fpRegs)
+			if e.sq != 0 {
+				if e.drainAt <= s.cycle {
 					t.sq--
 				} else {
-					s.releaseAt(drain).sq[ti]++
+					s.releaseAt(e.drainAt).sq[ti]++
 				}
-			case smtwork.UopBranch:
-				t.branches--
-			}
-			if e.intReg {
-				t.intRegs--
-			}
-			if e.fpReg {
-				t.fpRegs--
 			}
 			t.robHead++
 			if t.robHead == len(t.rob) {
@@ -274,6 +389,7 @@ func (s *SMT) commit() {
 			budget--
 		}
 	}
+	return budget < s.cfg.CommitWidth
 }
 
 // releaseAt returns the release slot of cycle c, which must lie after the
@@ -312,12 +428,12 @@ const (
 )
 
 // renameStage moves uops from the fetch queues into the backend, charging
-// structure occupancy, and classifies the cycle for Fig. 15.
-func (s *SMT) renameStage() {
+// structure occupancy, classifies the cycle for Fig. 15 and reports
+// whether it renamed any uop.
+func (s *SMT) renameStage() bool {
 	budget := s.cfg.DecodeWidth
 	renamed := 0
 	cause := stallNone
-	sawReady := false
 
 	first := int(s.cycle) & 1
 	for k := 0; k < 2; k++ {
@@ -331,7 +447,6 @@ func (s *SMT) renameStage() {
 			if f.renameReady > s.cycle {
 				break
 			}
-			sawReady = true
 			if c := s.resourceBlock(t, s.threads[ti^1], &f.uop); c != stallNone {
 				if cause == stallNone {
 					cause = c
@@ -349,26 +464,32 @@ func (s *SMT) renameStage() {
 		}
 	}
 
-	switch {
-	case renamed > 0:
+	// A ready head that did not rename was blocked, so a cycle that
+	// renamed nothing stalled or, with no head ready, idled.
+	if renamed > 0 {
 		s.rename.Running++
-	case cause != stallNone:
-		switch cause {
-		case stallROB:
-			s.rename.StallROB++
-		case stallIQ:
-			s.rename.StallIQ++
-		case stallLQ:
-			s.rename.StallLQ++
-		case stallSQ:
-			s.rename.StallSQ++
-		case stallRF:
-			s.rename.StallRF++
-		}
-	case sawReady:
-		s.rename.Running++ // renamed zero only because budget was zero
+	} else {
+		s.rename.charge(cause, 1)
+	}
+	return renamed > 0
+}
+
+// charge counts n cycles that renamed nothing: stalled on cause, or idle
+// when cause is stallNone.
+func (r *RenameStats) charge(cause stallCause, n int64) {
+	switch cause {
+	case stallROB:
+		r.StallROB += n
+	case stallIQ:
+		r.StallIQ += n
+	case stallLQ:
+		r.StallLQ += n
+	case stallSQ:
+		r.StallSQ += n
+	case stallRF:
+		r.StallRF += n
 	default:
-		s.rename.Idle++
+		r.Idle += n
 	}
 }
 
@@ -382,16 +503,17 @@ func (s *SMT) resourceBlock(t, o *thread, u *smtwork.Uop) stallCause {
 	if t.iq+o.iq >= s.cfg.IQSize {
 		return stallIQ
 	}
-	if u.Kind == smtwork.UopLoad && t.lq+o.lq >= s.cfg.LQSize {
+	h := &kindHolds[u.Kind]
+	if h.lq != 0 && t.lq+o.lq >= s.cfg.LQSize {
 		return stallLQ
 	}
-	if u.Kind == smtwork.UopStore && t.sq+o.sq >= s.cfg.SQSize {
+	if h.sq != 0 && t.sq+o.sq >= s.cfg.SQSize {
 		return stallSQ
 	}
-	if u.UsesIntReg() && t.intRegs+o.intRegs >= s.cfg.IRFSize {
+	if h.intRegs != 0 && t.intRegs+o.intRegs >= s.cfg.IRFSize {
 		return stallRF
 	}
-	if u.UsesFPReg() && t.fpRegs+o.fpRegs >= s.cfg.FRFSize {
+	if h.fpRegs != 0 && t.fpRegs+o.fpRegs >= s.cfg.FRFSize {
 		return stallRF
 	}
 	return stallNone
@@ -419,31 +541,19 @@ func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 	t.iq++
 	s.releaseAt(start).iq[ti]++
 
-	e := robEntry{complete: complete, kind: u.Kind}
-	switch u.Kind {
-	case smtwork.UopLoad:
-		t.lq++
-	case smtwork.UopStore:
-		t.sq++
-		e.drainAt = complete + u.DrainLat
-	case smtwork.UopBranch:
-		t.branches++
-		if u.Mispredict {
-			// Redirect: fetch resumes after the branch resolves.
-			t.blockedTill = complete + s.cfg.MispredictRefill
-			t.awaitBranch = false
-		}
-	}
-	if u.UsesIntReg() {
-		t.intRegs++
-		e.intReg = true
-	}
-	if u.UsesFPReg() {
-		t.fpRegs++
-		e.fpReg = true
+	h := kindHolds[u.Kind]
+	t.lq += int(h.lq)
+	t.sq += int(h.sq)
+	t.branches += int(h.branches)
+	t.intRegs += int(h.intRegs)
+	t.fpRegs += int(h.fpRegs)
+	if u.Kind == smtwork.UopBranch && u.Mispredict {
+		// Redirect: fetch resumes after the branch resolves.
+		t.blockedTill = complete + s.cfg.MispredictRefill
+		t.awaitBranch = false
 	}
 
-	t.rob[t.robTail] = e
+	t.rob[t.robTail] = robEntry{complete: complete, drainAt: complete + u.DrainLat, holds: h}
 	t.robTail++
 	if t.robTail == len(t.rob) {
 		t.robTail = 0
@@ -457,11 +567,12 @@ func (s *SMT) renameUop(ti int, t *thread, u *smtwork.Uop) {
 	t.seq++
 }
 
-// fetch picks one thread per the PG policy and fetches FetchWidth uops.
-func (s *SMT) fetch() {
+// fetch picks one thread per the PG policy, fetches up to FetchWidth
+// uops and reports whether it fetched any.
+func (s *SMT) fetch() bool {
 	ti := s.chooseFetchThread()
 	if ti < 0 {
-		return
+		return false
 	}
 	t := s.threads[ti]
 	for k := 0; k < s.cfg.FetchWidth; k++ {
@@ -483,30 +594,14 @@ func (s *SMT) fetch() {
 			break
 		}
 	}
+	return true
 }
 
 // gated reports whether thread ti exceeds its occupancy share in any
 // monitored structure.
 func (s *SMT) gated(ti int) bool {
-	t := s.threads[ti]
-	share := s.share[ti]
-	if s.policy.Gate[GateIQ] && float64(t.iq) > share*float64(s.cfg.IQSize) {
-		return true
-	}
-	// LQ and SQ gate separately: a thread hogging one of them (lbm's
-	// store-queue appetite, §3.3) must trip the gate even when the other
-	// queue is idle.
-	if s.policy.Gate[GateLSQ] && (float64(t.lq) > share*float64(s.cfg.LQSize) ||
-		float64(t.sq) > share*float64(s.cfg.SQSize)) {
-		return true
-	}
-	if s.policy.Gate[GateROB] && float64(t.robCount) > share*float64(s.cfg.ROBSize) {
-		return true
-	}
-	if s.policy.Gate[GateIRF] && float64(t.intRegs) > share*float64(s.cfg.IRFSize) {
-		return true
-	}
-	return false
+	t, l := s.threads[ti], &s.limits[ti]
+	return t.iq > l.iq || t.lq > l.lq || t.sq > l.sq || t.robCount > l.rob || t.intRegs > l.irf
 }
 
 // DisableThread excludes a thread from fetching entirely, turning the

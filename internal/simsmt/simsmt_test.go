@@ -254,16 +254,6 @@ func TestBanditRunnerSavesHCPerArm(t *testing.T) {
 	}
 }
 
-func TestRunUntilCommitted(t *testing.T) {
-	sim := NewSim(mustProfile(t, "gcc"), mustProfile(t, "leela"), 3)
-	r := NewFixedRunner(sim, ChoiPolicy, true)
-	r.RunUntilCommitted(20_000, 10_000_000)
-	if sim.Committed(0) < 20_000 || sim.Committed(1) < 20_000 {
-		t.Errorf("commits = %d/%d, want >= 20000 each",
-			sim.Committed(0), sim.Committed(1))
-	}
-}
-
 func TestNewPanicsOnBadWidths(t *testing.T) {
 	bad := map[string]func(*Config){
 		"zero config":     func(c *Config) { *c = Config{} },
@@ -368,4 +358,35 @@ func FuzzParsePolicy(f *testing.F) {
 			t.Fatalf("round trip: %q -> %v -> %q", s, p, p.String())
 		}
 	})
+}
+
+// TestGateLimitsMatchShare checks the integer fetch-gate limits against
+// the share arithmetic they replace: for every policy, a sweep of shares
+// and every count up to the structure size, count > limit must hold
+// exactly when the structure is gated and count > share × size.
+func TestGateLimitsMatchShare(t *testing.T) {
+	cfg := DefaultConfig()
+	sim := New(cfg, nil, nil)
+	for _, pol := range AllPolicies() {
+		sim.SetPolicy(pol)
+		for share := 0.1; share <= 0.9; share += 0.0125 {
+			sim.SetShare(share)
+			for ti, l := range sim.limits {
+				for _, g := range []struct {
+					gate, limit, size int
+				}{
+					{GateIQ, l.iq, cfg.IQSize}, {GateLSQ, l.lq, cfg.LQSize}, {GateLSQ, l.sq, cfg.SQSize},
+					{GateROB, l.rob, cfg.ROBSize}, {GateIRF, l.irf, cfg.IRFSize},
+				} {
+					for x := 0; x <= g.size; x++ {
+						want := pol.Gate[g.gate] && float64(x) > sim.share[ti]*float64(g.size)
+						if got := x > g.limit; got != want {
+							t.Fatalf("%v, thread %d share %v, gate %d: %d > limit %d is %v, want %v",
+								pol, ti, sim.share[ti], g.gate, x, g.limit, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -65,14 +65,6 @@ type Uop struct {
 	Mispredict bool
 }
 
-// UsesIntReg reports whether the op allocates an integer rename register.
-func (u *Uop) UsesIntReg() bool {
-	return u.Kind == UopALU || u.Kind == UopLoad
-}
-
-// UsesFPReg reports whether the op allocates an FP rename register.
-func (u *Uop) UsesFPReg() bool { return u.Kind == UopFP }
-
 // Profile characterizes one synthetic application.
 type Profile struct {
 	// Name is the application name (styled after SPEC17).

@@ -56,18 +56,18 @@ func splitMix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. Working on locals keeps it
+// within the inliner's budget, so it inlines into its callers.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
@@ -108,11 +108,8 @@ func (r *Rand) Float64() float64 {
 
 // Bool returns true with probability p. p outside [0,1] saturates.
 func (r *Rand) Bool(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
+	if p <= 0 || p >= 1 {
+		return p >= 1
 	}
 	return r.Float64() < p
 }
